@@ -11,11 +11,6 @@
 // spec (case setup dominates) and a generated 64-SB mesh (simulation
 // dominates). On a 1-core host the speedup is honestly ~1.0x; the
 // determinism checks are what must hold everywhere.
-//
-// The gang-execution grid re-times both shapes at every (jobs, gang
-// width) point — persistent lockstep lanes instead of per-case Socs —
-// and records `campaign_*_gang_*` rows carrying both axes, again with the
-// bit-identical-summary check on every point.
 
 #include <benchmark/benchmark.h>
 
@@ -95,67 +90,6 @@ std::vector<ScalingRow> scale_campaign(const fuzz::Campaign& campaign,
     return rows;
 }
 
-/// Gang-execution grid: time the campaign at every (jobs, gang width)
-/// point, demand the summary stay bit-identical to the scalar jobs=1
-/// reference at every point, and record each point as a
-/// `campaign_<name>_gang_runs_per_sec` stats row keyed by both axes.
-/// The gang=1 column doubles as the scalar baseline for the
-/// `campaign_<name>_gang_speedup_vs_scalar` rows.
-void gang_grid(const fuzz::Campaign& campaign, const std::string& name,
-               std::uint64_t runs, std::uint64_t seed,
-               const std::vector<std::size_t>& jobs_axis,
-               const std::vector<std::size_t>& gang_axis, std::size_t warmup,
-               std::size_t samples, bench::JsonReport& report) {
-    fuzz::CampaignSummary reference;
-    double scalar_med = 0.0;
-    std::printf("%6s | %6s | %9s | %9s | %6s | %10s | %s\n", "jobs", "gang",
-                "median s", "runs/s", "cv", "vs scalar",
-                "summary vs (jobs=1, gang=1)");
-    for (const std::size_t gang : gang_axis) {
-        for (const std::size_t jobs : jobs_axis) {
-            fuzz::CampaignSummary s;
-            fuzz::CampaignControl ctl;
-            ctl.gang_width = gang;
-            const auto xs = bench::measure_seconds(warmup, samples, [&] {
-                s = campaign.run(runs, seed, {}, jobs, ctl);
-            });
-            const auto stats = bench::compute_stats(xs);
-            const double med = stats.median > 0 ? stats.median : 1e-9;
-            const bool first = gang == gang_axis.front() &&
-                               jobs == jobs_axis.front();
-            if (first) {
-                reference = s;
-                scalar_med = med;
-            }
-            const bool identical = s == reference;
-            std::printf(
-                "%6zu | %6zu | %9.3f | %9.1f | %5.1f%% | %9.2fx | %s\n",
-                jobs, gang, stats.median,
-                static_cast<double>(runs) / med, 100.0 * stats.cv,
-                scalar_med / med, identical ? "bit-identical" : "DIVERGED");
-            std::vector<double> rates;
-            rates.reserve(xs.size());
-            for (const double t : xs) {
-                rates.push_back(static_cast<double>(runs) /
-                                (t > 0 ? t : 1e-9));
-            }
-            report.add_gang_stats("campaign_" + name + "_gang_runs_per_sec",
-                                  bench::compute_stats(rates), "runs/s",
-                                  jobs, gang);
-            report.add_gang("campaign_" + name + "_gang_speedup_vs_scalar",
-                            scalar_med / med, "x", jobs, gang);
-            if (!identical) {
-                std::fprintf(stderr,
-                             "bench_campaign: %s summary diverged at "
-                             "jobs=%zu gang=%zu — the gang engine broke "
-                             "the determinism contract\n",
-                             name.c_str(), jobs, gang);
-                std::exit(1);
-            }
-        }
-    }
-}
-
 /// The cross-process half of the contract: shard summaries merge to the
 /// single-process summary, and a checkpointed stop + resume reproduces the
 /// uninterrupted summary. Both checked byte-for-byte; exits on divergence.
@@ -224,16 +158,6 @@ void run_experiment() {
                    report);
     check_shards_and_resume(pair, "pair", pair_runs, seed);
 
-    // Gang grid on the setup-bound pair spec: persistent lanes replace the
-    // per-case Soc elaboration with a snapshot rewind, and the worker
-    // dispatch granularity becomes one block instead of one case — this is
-    // the regime where gang execution pays on a single CPU. Long campaign
-    // so the one-time lane construction amortizes as it does in real use.
-    const std::uint64_t pair_gang_runs = quick ? 400 : 2000;
-    bench::banner("gang execution grid (pair, fault-free)");
-    gang_grid(pair, "pair", pair_gang_runs, seed, jobs_axis, {1, 4, 16},
-              warmup, samples, report);
-
     // --- mesh64: generated 64-SB mesh (topo::generate), per-case cost
     // dominated by simulation — the regime where parallel workers matter ---
     topo::Options topt;
@@ -250,15 +174,6 @@ void run_experiment() {
     scale_campaign(mesh, "mesh64", mesh_runs, seed, jobs_axis, warmup,
                    samples, report);
     check_shards_and_resume(mesh, "mesh64", mesh_runs, seed);
-
-    // Gang grid on the sim-bound mesh: on one CPU the lockstep engine is
-    // honestly about break-even here (docs/PERF.md "Gang execution") —
-    // the rows exist so the determinism contract is *measured* at NoC
-    // scale and so multi-core hosts can read their actual scaling.
-    const std::uint64_t mesh_gang_runs = quick ? 16 : 96;
-    bench::banner("gang execution grid (generated mesh-64)");
-    gang_grid(mesh, "mesh64", mesh_gang_runs, seed, jobs_axis, {1, 4, 16},
-              warmup, samples, report);
 
     // --- scaling proof at campaign scale (full mode only): 10^5 cases.
     // One sample — at this size the run IS its own statistics — recorded as

@@ -11,9 +11,9 @@
 // digest mismatch exits the process — the speedup is worthless if the
 // trusted parse isn't bit-identical.
 //
-// The program-sharing half of the PR is measured too: one-time spec
-// elaboration + pristine serialization (what every lane used to pay) vs
-// constructing a lane against the already-registered gang::Program.
+// Program sharing is measured too: one-time spec elaboration + pristine
+// serialization (paid once per campaign) vs constructing a lane against
+// the already-built gang::Program (paid once per worker).
 
 #include <benchmark/benchmark.h>
 
@@ -51,29 +51,25 @@ void bench_size(std::size_t sbs, bench::JsonReport& report) {
     topt.seed = 7;
     const sys::SocSpec spec = sva::to_spec(topo::generate(topt));
 
-    // One-time cost a pre-sharing lane paid on every construction:
-    // elaborate the spec, start, serialize the pristine image, build the
-    // plan. Program::elaborate bypasses the registry so this stays cold.
+    // One-time cost per program: elaborate the spec, start, serialize the
+    // pristine image, build the plan.
     std::shared_ptr<const gang::Program> prog;
     const auto elab = bench::compute_stats(bench::measure_seconds(
-        0, quick ? 1 : 3,
-        [&] { prog = gang::Program::elaborate(spec); }));
+        0, quick ? 1 : 3, [&] { prog = gang::Program::get(spec); }));
     report.add("gang_program_elaborate_" + tag, elab.median * 1e3, "ms", 1);
     report.add("gang_program_image_bytes_" + tag,
                static_cast<double>(prog->pristine().bytes().size()), "bytes",
                1);
 
-    // Registered program: what every subsequent lane/context actually pays.
-    const std::shared_ptr<const gang::Program> shared =
-        gang::Program::get(spec);
+    // Shared program: what each worker's lane actually pays.
     const auto ctor = bench::compute_stats(
         bench::measure_seconds(warmup, samples, [&] {
-            gang::Lane lane(shared, {});
+            gang::Lane lane(prog, {});
             benchmark::DoNotOptimize(&lane.soc());
         }));
     report.add("gang_lane_ctor_shared_" + tag, ctor.median * 1e3, "ms", 1);
 
-    gang::Lane lane(shared, {});
+    gang::Lane lane(prog, {});
 
     // Equivalence first: strict-rewound and plan-rewound continuations must
     // land on the same digest after the same run.
@@ -81,7 +77,7 @@ void bench_size(std::size_t sbs, bench::JsonReport& report) {
         if (use_plan) {
             lane.rewind();
         } else {
-            lane.soc().reset_from_image(shared->pristine());
+            lane.soc().reset_from_image(prog->pristine());
         }
         lane.soc().run_cycles(cycles, deadline);
         lane.soc().settle();
@@ -111,7 +107,7 @@ void bench_size(std::size_t sbs, bench::JsonReport& report) {
                 if (use_plan) {
                     lane.rewind();
                 } else {
-                    lane.soc().reset_from_image(shared->pristine());
+                    lane.soc().reset_from_image(prog->pristine());
                 }
             }
         });
@@ -149,7 +145,8 @@ void BM_LaneRewind(benchmark::State& state) {
     topt.shape = topo::Shape::kMesh;
     topt.sbs = static_cast<std::size_t>(state.range(0));
     topt.seed = 7;
-    gang::Lane lane(sva::to_spec(topo::generate(topt)), {});
+    gang::Lane lane(gang::Program::get(sva::to_spec(topo::generate(topt))),
+                    {});
     lane.soc().run_cycles(20, sim::ms(2000));
     for (auto _ : state) {
         lane.rewind();

@@ -92,18 +92,6 @@ class JsonReport {
         entries_.push_back(Entry{metric, units, value, jobs, {}});
     }
 
-    /// A row keyed by both grid axes: worker count and lockstep lane
-    /// width. Emitted with an explicit "gang" field so downstream schema
-    /// checks can validate the full (jobs, gang) coordinates.
-    void add_gang(const std::string& metric, double value,
-                  const std::string& units, std::size_t jobs,
-                  std::size_t gang) {
-        Entry e{metric, units, value, jobs, {}};
-        e.gang = gang;
-        e.has_gang = true;
-        entries_.push_back(std::move(e));
-    }
-
     /// A row with full measurement statistics: `value` is the median (the
     /// number perf gates compare), and the distribution rides along so the
     /// recorded history can tell a real regression from sampling noise.
@@ -112,18 +100,6 @@ class JsonReport {
         Entry e{metric, units, s.median, jobs, {}};
         e.stats = s;
         e.has_stats = true;
-        entries_.push_back(std::move(e));
-    }
-
-    /// Statistics row on the (jobs, gang) grid.
-    void add_gang_stats(const std::string& metric, const SampleStats& s,
-                        const std::string& units, std::size_t jobs,
-                        std::size_t gang) {
-        Entry e{metric, units, s.median, jobs, {}};
-        e.stats = s;
-        e.has_stats = true;
-        e.gang = gang;
-        e.has_gang = true;
         entries_.push_back(std::move(e));
     }
 
@@ -142,9 +118,6 @@ class JsonReport {
                          "  {\"metric\": \"%s\", \"value\": %.6g, "
                          "\"units\": \"%s\", \"jobs\": %zu",
                          e.metric.c_str(), e.value, e.units.c_str(), e.jobs);
-            if (e.has_gang) {
-                std::fprintf(f, ", \"gang\": %zu", e.gang);
-            }
             if (e.has_stats) {
                 std::fprintf(f,
                              ", \"median\": %.6g, \"p95\": %.6g, "
@@ -170,8 +143,6 @@ class JsonReport {
         std::size_t jobs = 1;
         SampleStats stats;
         bool has_stats = false;
-        std::size_t gang = 1;
-        bool has_gang = false;
     };
     std::string path_;
     std::vector<Entry> entries_;

@@ -92,9 +92,10 @@ class StoppableClock : public snap::Snapshottable {
     /// schedules no monitor-priority observer event at all, making the
     /// event stream identical to a clock with no observers registered.
     /// Execution-mode toggle, not model state: deliberately not
-    /// serialized. Used by the gang engine to re-simulate a warmup prefix
-    /// with the same event count as a scalar run that attaches its
-    /// monitors only after warmup.
+    /// serialized. fuzz::CaseRunner gates it while it re-simulates a warm-up
+    /// prefix on a lane whose monitor is permanently attached, so the prefix
+    /// has the same event count as the forked prefix image, which is
+    /// simulated with no monitor.
     void set_edge_observers_enabled(bool on) { observe_edges_ = on; }
 
     sim::Scheduler& scheduler() const { return sched_; }

@@ -7,7 +7,6 @@
 
 #include "fuzz/case_exec.hpp"
 #include "fuzz/checkpoint.hpp"
-#include "fuzz/gang_runner.hpp"
 #include "fuzz/injector.hpp"
 #include "runner/runner.hpp"
 #include "system/delay_config.hpp"
@@ -81,34 +80,25 @@ Campaign::Campaign(CampaignConfig cfg, sys::SocSpec spec)
     }
 }
 
-CaseRunner::CaseRunner(const Campaign& campaign) : campaign_(&campaign) {
-    if (campaign.config().streaming) {
-        // One checker for the worker's lifetime: the per-SB slot table and
-        // digest state reset per run (RunCapture::begin_run), but the
-        // golden binding and the attachment are paid once. Early exit is
-        // decided per case in run().
-        checker_ = std::make_unique<verify::StreamingChecker>(
-            campaign.golden_index());
-        checker_->attach(cap_);
-    }
-}
+CaseRunner::CaseRunner(const Campaign& campaign)
+    : campaign_(&campaign),
+      nominal_(sys::DelayConfig::nominal(campaign.spec())),
+      // One checker for the worker's lifetime: the per-SB slot table and
+      // digest state reset per run, but the golden binding and the
+      // attachment are paid once. Early exit is decided per case in run().
+      lane_(campaign.program(),
+            {.golden = campaign.config().streaming ? &campaign.golden_index()
+                                                   : nullptr,
+             .monitor = true}) {}
 
 RunReport CaseRunner::run(const FuzzCase& c) {
     const Campaign& campaign = *campaign_;
     const CampaignConfig& cfg = campaign.config();
-    // One spec copy per case (the perturbation), shared with the Soc by
-    // pointer — the nominal program spec itself is never copied.
-    auto perturbed = std::make_shared<const sys::SocSpec>(
-        sys::apply(campaign.spec(), c.delays));
-    const sim::Time deadline =
-        case_deadline(max_effective_period(*perturbed), cfg.cycles);
+    const sim::Time deadline = case_deadline(
+        perturbed_max_effective_period(campaign.spec(), c.delays),
+        cfg.cycles);
 
-    // The capture is reused across cases, backed by this worker thread's
-    // arena. In streaming mode the checker stays subscribed across runs
-    // (the Soc ctor's begin_run keeps the attachment), so even the restored
-    // warm-up prefix is checked online as it is replayed.
-    verify::RunCapture& cap = cap_;
-    verify::StreamingChecker* checker = checker_.get();
+    verify::StreamingChecker* checker = lane_.checker();
     if (checker != nullptr) {
         // Early exit is sound only where divergence is the final word: a
         // faulted run must complete, because a later deadlock or invariant
@@ -118,43 +108,51 @@ RunReport CaseRunner::run(const FuzzCase& c) {
         checker->set_early_exit(cfg.classes.empty() && c.faults.empty());
     }
 
-    std::unique_ptr<sys::Soc> soc_owner;
-    std::unique_ptr<Injector> injector_owner;
-    std::unique_ptr<sys::InvariantMonitor> monitor_owner;
-    if (cfg.warmup_cycles == 0) {
-        soc_owner = std::make_unique<sys::Soc>(std::move(perturbed), &cap);
-        injector_owner = std::make_unique<Injector>(*soc_owner, c.faults);
-        monitor_owner = std::make_unique<sys::InvariantMonitor>(*soc_owner);
+    // The rewind stands in for elaborating a fresh Soc (restore-
+    // equivalence): to the pristine image, or to the nominal warm-up
+    // prefix — forked from the shared snapshot or re-simulated, which land
+    // in the identical state. In streaming mode the checker stays
+    // subscribed, so even a restored prefix is checked as it is replayed.
+    if (cfg.warmup_cycles > 0 && cfg.warmup_fork) {
+        lane_.rewind(campaign.warmup_prefix(), campaign.warmup_prefix_plan());
     } else {
-        // Warm-up path: nominal prefix (forked from the shared snapshot or
-        // re-simulated), then the case delta applied live. Both prefix
-        // variants land in the identical state — restore-equivalence — so
-        // the continuation, and therefore the report, is bit-identical.
-        soc_owner =
-            std::make_unique<sys::Soc>(campaign.program()->spec_ptr(), &cap);
-        if (cfg.warmup_fork) {
-            soc_owner->restore_snapshot(campaign.warmup_prefix(),
-                                        campaign.warmup_prefix_plan());
-        } else {
-            bool warm_budget = false;
-            run_bounded(*soc_owner, cfg.warmup_cycles, deadline,
-                        cfg.max_events, warm_budget);
-            soc_owner->settle();
-        }
-        injector_owner = std::make_unique<Injector>(*soc_owner, c.faults);
-        monitor_owner = std::make_unique<sys::InvariantMonitor>(*soc_owner);
-        sys::apply_live(*soc_owner, c.delays);
+        lane_.rewind();
+        if (cfg.warmup_cycles > 0) warm_up(deadline);
     }
-    sys::Soc& soc = *soc_owner;
-    Injector& injector = *injector_owner;
-    sys::InvariantMonitor& monitor = *monitor_owner;
+    sys::Soc& soc = lane_.soc();
+    const Injector injector(soc, c.faults);
+    sys::apply_live(soc, c.delays);
 
     bool budget_expired = false;
     const bool goal = run_bounded(soc, cfg.cycles, deadline, cfg.max_events,
                                   budget_expired);
     return classify_case(soc, injector.fired(), goal, budget_expired,
-                         monitor.violations(), nullptr, checker,
-                         campaign.golden_index(), cap);
+                         lane_.monitor()->violations(), nullptr, checker,
+                         campaign.golden_index(), lane_.capture());
+}
+
+void CaseRunner::warm_up(sim::Time deadline) {
+    const CampaignConfig& cfg = campaign_->config();
+    sys::Soc& soc = lane_.soc();
+    // Ring hop delays are not image state, so the previous case's delta
+    // survives the rewind: restore the nominal point first.
+    sys::apply_live(soc, nominal_);
+    // The forked prefix image is simulated with no monitor attached, so it
+    // holds no per-edge observer events. The lane's monitor is permanent;
+    // gate its observer events instead so the re-simulated prefix has the
+    // same event count and sequence as the forked one.
+    const auto observe = [&soc](bool on) {
+        for (std::size_t s = 0; s < soc.num_sbs(); ++s) {
+            soc.wrapper(s).clock().set_edge_observers_enabled(on);
+        }
+    };
+    observe(false);
+    bool budget_expired = false;
+    run_bounded(soc, cfg.warmup_cycles, deadline, cfg.max_events,
+                budget_expired);
+    soc.settle();
+    observe(true);
+    lane_.monitor()->reset();
 }
 
 RunReport Campaign::run_case(const FuzzCase& c) const {
@@ -329,64 +327,34 @@ CampaignSummary Campaign::run(
         ctl.checkpoint_every != 0 ? ctl.checkpoint_every : 1024;
     std::uint64_t since_image = 0;
 
-    // Per-case reduction, shared by both engines: runs on the calling
-    // thread in strict case-index order, so counters, retained failures,
-    // the on_run observation sequence and every checkpoint image are
-    // bit-identical whatever `jobs` — or the gang width — is.
-    const auto reduce_case = [&](std::size_t k, const RunReport& r) {
-        const std::uint64_t gi = index[done + k];
-        ++s.runs;
-        ++s.by_outcome[static_cast<std::size_t>(r.outcome)];
-        if (r.faults_fired > 0) ++s.runs_with_fault_fired;
-        if (r.outcome != Outcome::kDeterministic) {
-            s.add_failure(gi, cases[done + k], r);
-        }
-        if (on_run) {
-            on_run(static_cast<std::size_t>(gi), cases[done + k], r);
-        }
-        if (checkpointing && (++since_image >= every || k + 1 == todo)) {
-            save_progress_file(CampaignProgress{key, done + k + 1, s},
-                               ctl.checkpoint_path);
-            since_image = 0;
-        }
-    };
-
-    if (ctl.gang_width > 1) {
-        // Gang engine: each work item is a block of up to W consecutive
-        // shard-local cases run in lockstep on one worker's W persistent
-        // lanes (fuzz::GangRunner). Blocks reduce in order and unpack to
-        // the same per-case sequence, and the gang width is deliberately
-        // NOT part of the campaign key — a checkpoint written by either
-        // engine at any width resumes under the other.
-        const std::size_t w = ctl.gang_width;
-        const std::size_t blocks =
-            (static_cast<std::size_t>(todo) + w - 1) / w;
-        runner::sweep_ctx(
-            blocks, jobs, [this, w] { return GangRunner(*this, w); },
-            [&](GangRunner& g, std::size_t b) {
-                const std::size_t lo = b * w;
-                const std::size_t hi =
-                    std::min<std::size_t>(lo + w, static_cast<std::size_t>(todo));
-                return g.run_block(&cases[done + lo], hi - lo);
-            },
-            [&](std::size_t b, std::vector<RunReport>&& rs) {
-                for (std::size_t j = 0; j < rs.size(); ++j) {
-                    reduce_case(b * w + j, rs[j]);
-                }
-            });
-        return s;
-    }
-
-    // Scalar engine: each work item elaborates, injects, and runs its own
-    // private Soc (with its own Scheduler) through its worker's reusable
-    // CaseRunner; the golden index is shared read-only.
+    // Each work item rewinds its worker's lane (CaseRunner); the golden
+    // index is shared read-only. Reduction runs on the calling thread in
+    // strict case-index order, so counters, retained failures, the on_run
+    // observation sequence and every checkpoint image are bit-identical
+    // whatever `jobs` is.
     runner::sweep_ctx(
         static_cast<std::size_t>(todo), jobs,
         [this] { return CaseRunner(*this); },
         [&](CaseRunner& runner, std::size_t k) {
             return runner.run(cases[done + k]);
         },
-        [&](std::size_t k, RunReport&& r) { reduce_case(k, r); });
+        [&](std::size_t k, RunReport&& r) {
+            const std::uint64_t gi = index[done + k];
+            ++s.runs;
+            ++s.by_outcome[static_cast<std::size_t>(r.outcome)];
+            if (r.faults_fired > 0) ++s.runs_with_fault_fired;
+            if (r.outcome != Outcome::kDeterministic) {
+                s.add_failure(gi, cases[done + k], r);
+            }
+            if (on_run) {
+                on_run(static_cast<std::size_t>(gi), cases[done + k], r);
+            }
+            if (checkpointing && (++since_image >= every || k + 1 == todo)) {
+                save_progress_file(CampaignProgress{key, done + k + 1, s},
+                                   ctl.checkpoint_path);
+                since_image = 0;
+            }
+        });
     return s;
 }
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "fuzz/fault.hpp"
+#include "gang/lane.hpp"
 #include "gang/program.hpp"
 #include "runner/runner.hpp"
 #include "sim/random.hpp"
@@ -165,24 +166,18 @@ struct CampaignControl {
     /// by the resume tests and CLI fixtures. The cut happens at a reduction
     /// boundary, so the written checkpoint is always consistent.
     std::uint64_t stop_after = 0;
-    /// Lanes per worker for the gang execution engine (st_fuzz --gang).
-    /// <= 1 runs the scalar CaseRunner path; W > 1 runs blocks of W
-    /// consecutive cases in lockstep on W persistent lanes per worker
-    /// (fuzz::GangRunner), with bit-identical summaries, failure lists,
-    /// checkpoints and on_run sequences. Composes freely with `jobs`,
-    /// `shard`, and checkpoint/resume; not part of the campaign key, so
-    /// checkpoints are portable between engines and widths.
-    std::size_t gang_width = 1;
 };
 
 class Campaign;
 
-/// Reusable per-worker execution context: one trace capture and (in
-/// streaming mode) one golden checker, recycled across every case the
-/// worker runs. Constructing these per case was measurable campaign
-/// overhead — the checker re-derived its per-SB slot table and the capture
-/// re-registered every stream; reuse keeps both warm, alongside the worker
-/// thread's trace arena and scheduler slab pool. Construct on the thread
+/// The one case engine: a worker's gang::Lane — a Soc elaborated once from
+/// the campaign's program, with its trace capture, (in streaming mode) its
+/// golden checker, and its invariant monitor — rewound for every case the
+/// worker runs. Each case rewinds the lane to the campaign's rewind image
+/// (the pristine image, or the warm-up prefix), binds its fault injector,
+/// applies its delays with sys::apply_live, runs bounded and classifies.
+/// Restore-equivalence makes the report bit-identical to elaborating the
+/// perturbed spec afresh (tests/test_gang.cpp). Construct on the thread
 /// that will call run() (the capture pins that thread's arena).
 ///
 /// `Campaign::run` creates one per engine worker via runner::sweep_ctx;
@@ -194,14 +189,18 @@ class CaseRunner {
     CaseRunner(const CaseRunner&) = delete;
     CaseRunner& operator=(const CaseRunner&) = delete;
 
-    /// Elaborate, inject, run bounded, classify — bit-identical to
-    /// Campaign::run_case for the same case.
+    /// Rewind, inject, perturb, run bounded, classify — bit-identical to
+    /// Campaign::run_case for the same case, whatever ran before it.
     RunReport run(const FuzzCase& c);
 
   private:
+    /// Re-simulate the nominal warm-up prefix on the freshly rewound lane
+    /// (the non-fork warm-up).
+    void warm_up(sim::Time deadline);
+
     const Campaign* campaign_;
-    verify::RunCapture cap_;
-    std::unique_ptr<verify::StreamingChecker> checker_;
+    sys::DelayConfig nominal_;
+    gang::Lane lane_;
 };
 
 /// Seeded property-based campaign over the composed (delays x faults) space
@@ -220,17 +219,15 @@ class Campaign {
 
     const CampaignConfig& config() const { return cfg_; }
     const sys::SocSpec& spec() const { return prog_->spec(); }
-    /// The shared immutable program every engine of this campaign runs —
-    /// gang lanes, scalar CaseRunners, and warm-snapshot forks all hold
-    /// this one object (process-wide via the Program registry when the
-    /// spec carries a program_key).
+    /// The immutable program the campaign owns and hands to every worker's
+    /// lane: one elaboration, one pristine image, one rewind plan.
     const std::shared_ptr<const gang::Program>& program() const {
         return prog_;
     }
     const verify::TraceSet& golden() const { return golden_; }
     const verify::GoldenIndex& golden_index() const { return golden_index_; }
 
-    /// Elaborate, inject, run bounded, classify. Deterministic per case.
+    /// Run one case on a throwaway CaseRunner. Deterministic per case.
     RunReport run_case(const FuzzCase& c) const;
 
     /// Draw one random case: every delay dimension sampled from the paper's

@@ -11,11 +11,11 @@
 
 namespace st::fuzz {
 
-/// Shared case-execution core of the scalar CaseRunner and the gang engine
-/// (fuzz::GangRunner). Both paths must produce bit-identical RunReports, so
-/// the bounded run loop, the deadline formula, and the outcome-precedence
-/// classification live here once — equivalence by shared code, verified by
-/// the differential suite in tests/test_gang.cpp.
+/// Case-execution core of fuzz::CaseRunner, exposed so probes and tests can
+/// replay a case call for call: the bounded run loop, the deadline formula,
+/// and the outcome-precedence classification. tests/test_gang.cpp replays
+/// cases on freshly elaborated Socs through these same calls and holds the
+/// rewinding engine to the same reports.
 
 /// Slowest effective clock period of `spec` (base period x divider).
 sim::Time max_effective_period(const sys::SocSpec& spec);
@@ -28,7 +28,7 @@ inline sim::Time case_deadline(sim::Time max_period, std::uint64_t cycles) {
 }
 
 /// max_effective_period(sys::apply(nominal, delays)) without materializing
-/// the perturbed spec — the gang engine never elaborates one.
+/// the perturbed spec — a rewound lane never elaborates one.
 sim::Time perturbed_max_effective_period(const sys::SocSpec& nominal,
                                          const sys::DelayConfig& delays);
 
@@ -45,10 +45,9 @@ std::uint64_t total_protocol_errors(sys::Soc& soc);
 /// invariant > deadlock > divergent). Reads the terminal simulation state
 /// (event counter, protocol errors, stop flag, deadlock witness) off `soc`.
 ///
-/// `violations_tail` is non-null only for a peeled gang lane, whose monitor
-/// log is split across the lane (prefix) and the scalar finisher (suffix);
-/// an uninterrupted run's log is the concatenation, so "any violation" and
-/// "first violation" read across both in order.
+/// `violations_tail` optionally continues `violations` (a monitor log split
+/// across two monitors reads as their concatenation, so "any violation" and
+/// "first violation" read across both in order). CaseRunner passes nullptr.
 RunReport classify_case(sys::Soc& soc, std::uint64_t faults_fired, bool goal,
                         bool budget_expired,
                         const std::vector<std::string>& violations,

@@ -36,9 +36,9 @@ class Injector {
     /// node pass faults, FIFO stage faults, clock restart faults), so a
     /// reused Soc never carries a previous case's fault plan into the next
     /// run. Idempotent; the destructor calls it. Pending spurious-token
-    /// events are NOT descheduled — a gang lane's reset_from_image drops
-    /// them with the rest of the pending set, and a Soc torn down with the
-    /// Injector never fires them.
+    /// events are NOT descheduled — the lane's next rewind
+    /// (Soc::reset_from_image) drops them with the rest of the pending set,
+    /// and a Soc torn down with the Injector never fires them.
     void detach();
 
     /// Number of fault occurrences that actually fired during the run.

@@ -5,9 +5,12 @@
 namespace st::fuzz {
 
 ShrinkResult shrink(const Campaign& campaign, const FuzzCase& failing) {
+    // One lane for every attempt: each run rewinds it, so attempts stay
+    // independent of one another.
+    CaseRunner runner(campaign);
     ShrinkResult res;
     res.minimal = failing;
-    res.outcome = campaign.run_case(failing).outcome;
+    res.outcome = runner.run(failing).outcome;
     res.attempts = 1;
     if (res.outcome == Outcome::kDeterministic) {
         throw std::invalid_argument(
@@ -16,7 +19,7 @@ ShrinkResult shrink(const Campaign& campaign, const FuzzCase& failing) {
 
     const auto still_fails = [&](const FuzzCase& c) {
         ++res.attempts;
-        return campaign.run_case(c).outcome == res.outcome;
+        return runner.run(c).outcome == res.outcome;
     };
 
     bool changed = true;

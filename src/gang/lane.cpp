@@ -4,10 +4,9 @@ namespace st::gang {
 
 Lane::Lane(std::shared_ptr<const Program> program, const Options& opt)
     : prog_(std::move(program)) {
-    // Attachment order matches the scalar case path: checker onto the
-    // capture first, then the Soc (whose ctor begins the capture's run and
-    // registers the probes), then the monitor's clock observers — so every
-    // per-edge callback fires in the same relative order a scalar case sees.
+    // Attachment order: checker onto the capture first, then the Soc (whose
+    // ctor begins the capture's run and registers the probes), then the
+    // monitor's clock observers.
     if (opt.golden != nullptr) {
         checker_ = std::make_unique<verify::StreamingChecker>(*opt.golden);
         checker_->attach(cap_);
@@ -19,19 +18,10 @@ Lane::Lane(std::shared_ptr<const Program> program, const Options& opt)
     soc_->start();
 }
 
-void Lane::rewind() {
-    soc_->reset_from_image(prog_->pristine(), &prog_->plan());
-    if (monitor_) monitor_->reset();
-}
+void Lane::rewind() { rewind(prog_->pristine(), &prog_->plan()); }
 
-void Lane::rewind(const snap::Snapshot& image,
-                  const sys::Soc::ExtraRestore& extra) {
-    rewind(image, nullptr, extra);
-}
-
-void Lane::rewind(const snap::Snapshot& image, const snap::RewindPlan* plan,
-                  const sys::Soc::ExtraRestore& extra) {
-    soc_->reset_from_image(image, plan, extra);
+void Lane::rewind(const snap::Snapshot& image, const snap::RewindPlan* plan) {
+    soc_->reset_from_image(image, plan);
     if (monitor_) monitor_->reset();
 }
 

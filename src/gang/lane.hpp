@@ -11,27 +11,28 @@
 
 namespace st::gang {
 
-/// One persistent lane of the gang engine: a Soc elaborated once from the
-/// *nominal* spec, plus the per-run companions a scalar case would construct
-/// fresh each time — the trace capture, an (optional) attached streaming
-/// checker, and an (optional) invariant monitor.
+/// One persistent, rewinding simulation lane: a Soc elaborated once from
+/// the *nominal* spec, plus the per-run companions a case would otherwise
+/// construct fresh each time — the trace capture, an (optional) attached
+/// streaming checker, and an (optional) invariant monitor. Every campaign
+/// case runs on its worker's lane (fuzz::CaseRunner).
 ///
 /// The program/state decomposition: the gang::Program — spec, pristine
-/// image, and its pre-validated rewind plan — is process-wide and shared by
-/// every lane on the same spec digest (one elaboration, one serialization,
-/// one plan per process, not per lane). What stays per-lane is exactly what
-/// a run mutates: the Soc's live state, the capture's streams, the
-/// checker's verdict, the monitor's phase trackers. The reset point is
-/// `pristine()` — the Program's image of the freshly started Soc, restored
-/// through the plan so a rewind re-parses no framing — or any boundary
-/// snapshot from an identically elaborated Soc (a campaign's shared
-/// warm-up prefix, a peeled lane's mid-run handoff image).
+/// image, and its pre-validated rewind plan — is shared by every lane of
+/// its owner (one elaboration, one serialization, one plan per campaign,
+/// not per lane). What stays per-lane is exactly what a run mutates: the
+/// Soc's live state, the capture's streams, the checker's verdict, the
+/// monitor's phase trackers. The reset point is `pristine()` — the
+/// Program's image of the freshly started Soc, restored through the plan so
+/// a rewind re-parses no framing — or any boundary snapshot from an
+/// identically elaborated Soc (a campaign's shared warm-up prefix).
 ///
-/// Per-lane delay registers (clock periods, FIFO stage delays, ring hop
-/// delays) are nominal after every rewind; callers perturb them with
-/// `sys::apply_live`, exactly as the snapshot-forking warm-up path always
-/// has. Restore-equivalence is what makes a rewound lane bit-identical to a
-/// freshly elaborated scalar Soc (docs/PERF.md "Gang execution").
+/// Clock periods and FIFO stage delays are image state, but ring hop delays
+/// are not, so a rewind leaves the previous case's hop delays behind;
+/// callers set every delay register with `sys::apply_live` after each
+/// rewind. Restore-equivalence is what makes a rewound lane
+/// bit-identical to a freshly elaborated Soc (docs/PERF.md "Case
+/// execution"; tests/test_gang.cpp holds it case by case).
 ///
 /// Construct on the thread that will run the lane (the capture pins that
 /// thread's trace arena), which `runner::sweep_ctx`'s make_ctx contract
@@ -42,17 +43,11 @@ class Lane {
         /// Attach a verify::StreamingChecker over this golden index
         /// (nullptr: no online checking — the batch/offline mode).
         const verify::GoldenIndex* golden = nullptr;
-        /// Attach a sys::InvariantMonitor (campaign lanes: yes; pure
-        /// determinism-sweep lanes: no, matching the scalar runners).
+        /// Attach a sys::InvariantMonitor (fuzz::CaseRunner's lanes do).
         bool monitor = false;
     };
 
-    /// Share `program` (the normal path: every lane of a gang hands in the
-    /// same Program, usually via Program::get).
     Lane(std::shared_ptr<const Program> program, const Options& opt);
-    /// Convenience: resolve the program through the registry first.
-    Lane(const sys::SocSpec& nominal_spec, const Options& opt)
-        : Lane(Program::get(nominal_spec), opt) {}
 
     Lane(const Lane&) = delete;
     Lane& operator=(const Lane&) = delete;
@@ -63,17 +58,12 @@ class Lane {
     /// plan, so no snapshot framing is re-parsed.
     void rewind();
 
-    /// Rewind to an explicit boundary image (shared warm-up prefix, peel
-    /// handoff). `extra` restores snapshot chunks beyond the Soc's own —
-    /// e.g. a fuzz::Injector's trigger counters — inside the scheduler's
-    /// restore window. The monitor (if any) is re-armed from the restored
-    /// phases; a previously attached checker re-derives its verdict state
-    /// from the replayed trace prefix. Pass the image's RewindPlan when the
-    /// caller rewinds to it repeatedly (a campaign's warm-up prefix).
-    void rewind(const snap::Snapshot& image,
-                const sys::Soc::ExtraRestore& extra = {});
-    void rewind(const snap::Snapshot& image, const snap::RewindPlan* plan,
-                const sys::Soc::ExtraRestore& extra = {});
+    /// Rewind to an explicit boundary image (a campaign's shared warm-up
+    /// prefix). The monitor (if any) is re-armed from the restored phases;
+    /// an attached checker re-derives its verdict state from the replayed
+    /// trace prefix. Pass the image's RewindPlan when rewinding to it
+    /// repeatedly; nullptr takes the strict parse.
+    void rewind(const snap::Snapshot& image, const snap::RewindPlan* plan);
 
     sys::Soc& soc() { return *soc_; }
     verify::RunCapture& capture() { return cap_; }

@@ -1,36 +1,16 @@
 #include "gang/program.hpp"
 
-#include <atomic>
-#include <iterator>
-#include <mutex>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "system/soc.hpp"
 
 namespace st::gang {
 
-namespace {
-
-struct Registry {
-    std::mutex mu;
-    std::unordered_map<std::string, std::weak_ptr<const Program>> entries;
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> misses{0};
-};
-
-Registry& registry() {
-    static Registry* r = new Registry;  // immortal: lanes may outlive main
-    return *r;
-}
-
-}  // namespace
-
-/// The one place Programs are born. A throwaway Soc supplies the pristine
-/// image; the Program itself never holds live simulation objects, only the
-/// spec and derived read-only data, so it is safe to share across threads.
-std::shared_ptr<const Program> detail_build_program(
+/// A throwaway Soc supplies the pristine image; the Program itself keeps
+/// only the spec and derived read-only data.
+std::shared_ptr<const Program> Program::get(
     std::shared_ptr<const sys::SocSpec> spec) {
+    if (!spec) throw std::invalid_argument("Program::get: null spec");
     std::shared_ptr<Program> p(new Program);
     p->spec_ = std::move(spec);
     sys::Soc soc(p->spec_);
@@ -40,77 +20,8 @@ std::shared_ptr<const Program> detail_build_program(
     return p;
 }
 
-namespace {
-
-std::shared_ptr<const Program> build(
-    std::shared_ptr<const sys::SocSpec> spec) {
-    return detail_build_program(std::move(spec));
-}
-
-}  // namespace
-
-std::shared_ptr<const Program> Program::elaborate(
-    std::shared_ptr<const sys::SocSpec> spec) {
-    if (!spec) throw std::invalid_argument("Program::elaborate: null spec");
-    return build(std::move(spec));
-}
-
-std::shared_ptr<const Program> Program::elaborate(const sys::SocSpec& spec) {
-    return build(std::make_shared<const sys::SocSpec>(spec));
-}
-
-std::shared_ptr<const Program> Program::get(
-    std::shared_ptr<const sys::SocSpec> spec) {
-    if (!spec) throw std::invalid_argument("Program::get: null spec");
-    if (spec->program_key.empty()) return build(std::move(spec));
-    Registry& reg = registry();
-    // Elaboration runs under the lock: simpler than a per-key once-flag,
-    // and it guarantees the exactly-one-entry property under a construction
-    // race. Contention exists only while a process warms up a new spec.
-    std::lock_guard<std::mutex> lock(reg.mu);
-    std::weak_ptr<const Program>& slot = reg.entries[spec->program_key];
-    if (std::shared_ptr<const Program> live = slot.lock()) {
-        reg.hits.fetch_add(1, std::memory_order_relaxed);
-        return live;
-    }
-    reg.misses.fetch_add(1, std::memory_order_relaxed);
-    std::shared_ptr<const Program> made = build(std::move(spec));
-    slot = made;
-    return made;
-}
-
 std::shared_ptr<const Program> Program::get(const sys::SocSpec& spec) {
-    if (spec.program_key.empty()) return elaborate(spec);
-    {
-        // Fast path: share the registry's spec copy instead of making one.
-        Registry& reg = registry();
-        std::lock_guard<std::mutex> lock(reg.mu);
-        auto it = reg.entries.find(spec.program_key);
-        if (it != reg.entries.end()) {
-            if (std::shared_ptr<const Program> live = it->second.lock()) {
-                reg.hits.fetch_add(1, std::memory_order_relaxed);
-                return live;
-            }
-        }
-    }
     return get(std::make_shared<const sys::SocSpec>(spec));
-}
-
-std::size_t Program::registry_entries() {
-    Registry& reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mu);
-    for (auto it = reg.entries.begin(); it != reg.entries.end();) {
-        it = it->second.expired() ? reg.entries.erase(it) : std::next(it);
-    }
-    return reg.entries.size();
-}
-
-std::uint64_t Program::registry_hits() {
-    return registry().hits.load(std::memory_order_relaxed);
-}
-
-std::uint64_t Program::registry_misses() {
-    return registry().misses.load(std::memory_order_relaxed);
 }
 
 }  // namespace st::gang

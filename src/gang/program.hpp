@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "snap/snapshot.hpp"
 #include "snap/state_io.hpp"
@@ -10,38 +9,25 @@
 
 namespace st::gang {
 
-/// The process-wide immutable half of a simulated model: everything every
-/// lane, sweep context, and campaign worker elaborated from the same spec
-/// would otherwise rebuild privately.
+/// The immutable half of a simulated model: everything every lane of one
+/// campaign or sweep would otherwise rebuild privately.
 ///
 ///   * the spec itself (topology, routing/port tables inside the kernel
 ///     factories' closures, clock and FIFO parameters) — held by
 ///     shared_ptr so a Soc elaboration references it instead of copying
-///     the whole structure per case;
+///     the whole structure per lane;
 ///   * the pristine image — the freshly-started state every case rewind
 ///     returns to, serialized once instead of once per lane;
 ///   * the image's snap::RewindPlan — the pre-validated parse plan that
 ///     turns each rewind's strict chunk walk into table lookups.
 ///
-/// Programs are reference-counted in a process-wide registry keyed by
-/// SocSpec::program_key, so two lanes (in the same or different workers) on
-/// the same spec share one Program object: `get()` with an identical key
-/// returns the identical pointer. Specs without a key (perturbed specs,
-/// ad-hoc test fixtures) get a private Program via `elaborate()`; holders
-/// still share it by pointer. The registry holds weak references — dropping
-/// the last lane releases the Program.
+/// The owner (a fuzz::Campaign) builds one Program with `get()` and hands
+/// the pointer to every worker's lane; a Program holds no live simulation
+/// objects, so sharing it across threads is safe.
 class Program {
   public:
-    /// Elaborate a program for `spec`, bypassing the registry (private
-    /// program). The const& overload copies the spec once.
-    static std::shared_ptr<const Program> elaborate(
-        std::shared_ptr<const sys::SocSpec> spec);
-    static std::shared_ptr<const Program> elaborate(const sys::SocSpec& spec);
-
-    /// Registry lookup: the shared program for `spec.program_key`,
-    /// elaborated on first use. An empty key degrades to elaborate().
-    /// Thread-safe; a concurrent race on one key yields exactly one entry
-    /// (construction happens under the registry lock).
+    /// Elaborate a program for `spec`. The const& overload copies the spec
+    /// once.
     static std::shared_ptr<const Program> get(
         std::shared_ptr<const sys::SocSpec> spec);
     static std::shared_ptr<const Program> get(const sys::SocSpec& spec);
@@ -57,17 +43,8 @@ class Program {
     /// Digest of the pristine image — the program's state-level identity.
     std::uint64_t digest() const { return pristine_.digest(); }
 
-    // --- registry instrumentation (tests, perf docs) ---
-    /// Live (non-expired) registry entries; purges dead ones as it counts.
-    static std::size_t registry_entries();
-    static std::uint64_t registry_hits();
-    static std::uint64_t registry_misses();
-
   private:
-    Program() = default;  ///< construct via elaborate()/get() only
-    /// The one place Programs are born (program.cpp).
-    friend std::shared_ptr<const Program> detail_build_program(
-        std::shared_ptr<const sys::SocSpec> spec);
+    Program() = default;  ///< construct via get() only
 
     std::shared_ptr<const sys::SocSpec> spec_;
     snap::Snapshot pristine_;

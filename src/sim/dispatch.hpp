@@ -11,9 +11,9 @@
 namespace st::sim {
 
 /// The (time, priority, seq) dispatch core: a priority queue over the
-/// kernel's total event order, extracted out of `Scheduler` so every
-/// front-end — the scalar `sim::Scheduler` and the gang engine's lockstep
-/// lane drivers (`st::gang`) — shares one dispatch structure.
+/// kernel's total event order. `sim::Scheduler` is its one user; the
+/// template parameter is its payload (a pointer to Scheduler's private
+/// event record).
 ///
 /// Ordering contract: entries pop in strictly increasing (time, priority,
 /// seq). Because `seq` is unique per queue, this is a *strict total order* —
@@ -139,7 +139,7 @@ class DispatchCore {
         return top;
     }
 
-    /// Drop every pending entry (the gang lane-reset path). The caller owns
+    /// Drop every pending entry (the lane rewind path). The caller owns
     /// payload cleanup — iterate via drain() when payloads need releasing.
     void clear() {
         heap_.clear();

@@ -60,8 +60,7 @@ struct RaceRecord {
 /// **Hot path**: callbacks are stored in a move-only small-buffer type
 /// (`SmallFn`, no heap allocation for the models' capture sizes) inside
 /// pool-allocated event records. Ordering lives in `sim::DispatchCore` — the
-/// (time, priority, seq) dispatch kernel shared with the gang engine's
-/// lockstep front-end (`st::gang`) — whose packed 24-byte entries order
+/// (time, priority, seq) dispatch kernel — whose packed 24-byte entries order
 /// fixed-size keys only, so sift operations never move a callback, and
 /// records return to a free list after execution: steady-state simulation
 /// performs no allocation per event. The order is byte-for-byte the same
@@ -194,9 +193,9 @@ class Scheduler {
     }
 
     /// Drop every pending event, recycling the records, and clear any stop
-    /// request. Counters (now, seq, executed, dropped) are left as-is — the
-    /// gang engine's lane reset calls this immediately before a restore,
-    /// which overwrites them from the pristine image. The interceptor and
+    /// request. Counters (now, seq, executed, dropped) are left as-is — a
+    /// lane rewind (Soc::reset_from_image) calls this immediately before a
+    /// restore, which overwrites them from the image. The interceptor and
     /// race-audit configuration are wiring, not run state, and survive.
     void clear_pending();
 

@@ -74,10 +74,10 @@ class StateWriter {
 /// each enter() by table lookup — no name decode/compare, no per-chunk
 /// re-validation — while primitive reads keep their bounds checks.
 ///
-/// This is the delta that makes gang-lane rewind cheap: the pristine image
+/// This is the delta that makes a lane rewind cheap: the pristine image
 /// never changes between cases, yet a strict restore re-parses and
 /// re-validates all of its framing every time. The plan hoists that work
-/// to once per (process, image). Identity is the caller's contract — pair
+/// to once per image. Identity is the caller's contract — pair
 /// a plan only with the byte buffer it was built from (compare
 /// image_size()/image_digest() once; `sys::Soc::reset_from_image` does).
 class RewindPlan {

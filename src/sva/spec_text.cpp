@@ -426,10 +426,6 @@ sys::SocSpec to_spec(const SpecDoc& doc) {
         ch.tail_link.ack_delay = c.tail_ack;
         spec.channels.push_back(std::move(ch));
     }
-    // The canonical text round-trip is total for SpecDoc, so it is a sound
-    // registry identity: equal text ⇒ this function builds an identical
-    // spec (kernel factories included — they close only over doc fields).
-    spec.program_key = "stspec:" + to_text(doc);
     return spec;
 }
 

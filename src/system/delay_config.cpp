@@ -68,9 +68,6 @@ SocSpec apply(const SocSpec& nominal, const DelayConfig& cfg) {
         throw std::invalid_argument("DelayConfig shape does not match SocSpec");
     }
     SocSpec out = nominal;
-    // A perturbed spec is a different program: carrying the nominal key
-    // forward would alias it onto the nominal registry entry.
-    out.program_key.clear();
     for (std::size_t i = 0; i < out.channels.size(); ++i) {
         auto& f = out.channels[i].fifo;
         f.stage_delay = sim::scale_percent(f.stage_delay, cfg.fifo_pct[i]);

@@ -30,8 +30,8 @@ namespace st::sys {
 /// implementation's. Violation messages are only formatted when a check
 /// fires, so the fault-free fast path allocates nothing.
 ///
-/// The monitor is reusable across runs of the same Soc (the gang engine
-/// keeps one per lane): call `reset()` after a snapshot restore to clear
+/// The monitor is reusable across runs of the same Soc (a gang::Lane keeps
+/// one for every case): call `reset()` after a snapshot restore to clear
 /// the log and re-derive the holding counts from the restored phases.
 class InvariantMonitor {
   public:

@@ -291,13 +291,7 @@ void Soc::restore_snapshot(const snap::Snapshot& snapshot,
 }
 
 void Soc::reset_from_image(const snap::Snapshot& image,
-                           const ExtraRestore& extra) {
-    reset_from_image(image, nullptr, extra);
-}
-
-void Soc::reset_from_image(const snap::Snapshot& image,
-                           const snap::RewindPlan* plan,
-                           const ExtraRestore& extra) {
+                           const snap::RewindPlan* plan) {
     if (!started_) {
         throw snap::SnapshotError("Soc::reset_from_image: not started");
     }
@@ -310,11 +304,11 @@ void Soc::reset_from_image(const snap::Snapshot& image,
         // restore: the restore walk is a pure function of the image bytes,
         // so the trusted parse revisits only spans the strict pass proved.
         snap::StateReader r(bytes, *plan);
-        read_image(r, extra);
+        read_image(r, {});
         return;
     }
     snap::StateReader r(bytes);
-    read_image(r, extra);
+    read_image(r, {});
     // Strict restore succeeded — remember the pairing if the plan really
     // describes these bytes (one digest compare, amortized over every
     // later rewind of the same image).

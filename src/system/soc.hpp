@@ -33,8 +33,8 @@ class Soc {
     ///
     /// The spec is the Soc's immutable program: it is only read, never
     /// copied per-run state. The shared_ptr overload shares one spec across
-    /// every Soc elaborated from it (gang lanes, sweep contexts, campaign
-    /// case runners); the const& overload copies for callers whose spec is
+    /// every Soc elaborated from it (a campaign's lanes, its golden and
+    /// warm-up runs); the const& overload copies for callers whose spec is
     /// transient.
     explicit Soc(std::shared_ptr<const SocSpec> spec,
                  verify::RunCapture* capture = nullptr);
@@ -122,15 +122,15 @@ class Soc {
 
     /// restore_snapshot through a pre-validated parse plan. Contract: `plan`
     /// was built from `snapshot.bytes()` (the builder's strict walk is the
-    /// validation pass); nullptr falls back to the strict parse. The warm-
-    /// fork campaign path restores the same prefix image for every case —
-    /// one plan replaces per-case framing re-parses.
+    /// validation pass); nullptr falls back to the strict parse. A caller
+    /// restoring one image into many fresh Socs shares one plan instead of
+    /// re-parsing the framing per restore.
     void restore_snapshot(const snap::Snapshot& snapshot,
                           const snap::RewindPlan* plan,
                           const ExtraRestore& extra = {});
 
     /// Image of this Soc in its freshly-started state (started, nothing
-    /// executed yet): the gang engine's per-lane reset point. Unlike
+    /// executed yet): a gang::Lane's per-case reset point. Unlike
     /// save_snapshot it tolerates the first clock edges pending at exactly
     /// t=0 (a clock with phase 0) — with zero events executed no two-phase
     /// edge protocol can be half-applied, so the state is consistent.
@@ -138,25 +138,21 @@ class Soc {
 
     /// Rewind a *running* Soc to an image taken from this (or an identically
     /// elaborated) Soc — pristine_image for a lane reset, save_snapshot for
-    /// a mid-run handoff. Pending events are dropped, the capture is rewound
+    /// a warm-up prefix. Pending events are dropped, the capture is rewound
     /// in place (probe slots and an attached StreamingChecker survive), and
     /// every component restores; on return this Soc continues exactly where
     /// the imaged one stood. Persistent wiring (observers, monitors, bound
     /// checkers) is untouched; per-case hooks (fault injectors) must be
     /// detached by their owners before reuse.
+    ///
+    /// With a pre-validated snap::RewindPlan, the first call with a given
+    /// (image, plan) pairing runs the strict restore and verifies the plan
+    /// matches the image (size + digest); once verified, later calls with
+    /// the same pairing take the trusted O(1)-per-chunk parse. Passing
+    /// nullptr (or an unverifiable plan) keeps the strict path — behaviour,
+    /// traces, and digests are identical either way.
     void reset_from_image(const snap::Snapshot& image,
-                          const ExtraRestore& extra = {});
-
-    /// Rewind through a pre-validated snap::RewindPlan — the gang engine's
-    /// per-case reset. The first call with a given (image, plan) pairing
-    /// runs the strict restore and verifies the plan matches the image
-    /// (size + digest); once verified, later calls with the same pairing
-    /// take the trusted O(1)-per-chunk parse. Passing nullptr (or an
-    /// unverifiable plan) degrades to the strict path — behaviour, traces,
-    /// and digests are identical either way.
-    void reset_from_image(const snap::Snapshot& image,
-                          const snap::RewindPlan* plan,
-                          const ExtraRestore& extra = {});
+                          const snap::RewindPlan* plan = nullptr);
 
     const SocSpec& spec() const { return *spec_; }
     const std::shared_ptr<const SocSpec>& spec_ptr() const { return spec_; }

@@ -71,15 +71,6 @@ struct SocSpec {
     std::vector<RingSpec> rings;
     std::vector<MultiRingSpec> multi_rings;
     std::vector<ChannelSpec> channels;
-    /// Registry identity for gang::Program sharing. Two specs with the same
-    /// non-empty key must elaborate identically (same topology, kernels,
-    /// parameters); producers that can guarantee that set it — sva::to_spec
-    /// keys on the canonical spec text, make_named_spec on the catalog name.
-    /// The key cannot be derived here because make_kernel is an opaque
-    /// factory, and anything that perturbs a spec (sys::apply) must clear
-    /// it. Empty = not shareable across the process; holders still share
-    /// one private Program by pointer.
-    std::string program_key;
 };
 
 }  // namespace st::sys

@@ -398,27 +398,13 @@ const std::vector<std::string>& named_specs() {
 }
 
 SocSpec make_named_spec(const std::string& name) {
-    SocSpec spec;
-    if (name == "pair") {
-        spec = make_pair_spec();
-    } else if (name == "triangle") {
-        spec = make_triangle_spec();
-    } else if (name == "chain") {
-        spec = make_chain_spec();
-    } else if (name == "mesh") {
-        spec = make_mesh_spec();
-    } else if (name == "wide") {
-        spec = make_wide_pair_spec();
-    } else if (name == "bus") {
-        spec = make_bus_spec();
-    } else {
-        throw std::invalid_argument("make_named_spec: unknown spec '" + name +
-                                    "'");
-    }
-    // The catalog is fixed per build, so the name alone identifies the
-    // elaborated program (gang::Program registry sharing).
-    spec.program_key = "catalog:" + name;
-    return spec;
+    if (name == "pair") return make_pair_spec();
+    if (name == "triangle") return make_triangle_spec();
+    if (name == "chain") return make_chain_spec();
+    if (name == "mesh") return make_mesh_spec();
+    if (name == "wide") return make_wide_pair_spec();
+    if (name == "bus") return make_bus_spec();
+    throw std::invalid_argument("make_named_spec: unknown spec '" + name + "'");
 }
 
 }  // namespace sys

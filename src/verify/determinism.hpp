@@ -120,29 +120,6 @@ class DeterminismHarness {
     /// benches to separate the two effects). No result changes either way.
     void set_early_exit(bool on) { early_exit_ = on; }
 
-    /// One worker's gang block runner: takes a contiguous batch of up to
-    /// `width` perturbations and returns one TraceDiff per input,
-    /// bit-identical to run_one on the same perturbation. The factory is
-    /// invoked once per worker thread (the make_ctx slot of
-    /// runner::sweep_ctx), so the runner may own thread-pinned state —
-    /// gang::make_delay_block_runner builds the standard one over W
-    /// persistent `gang::Lane`s for DelayConfig sweeps.
-    using GangRunner =
-        std::function<std::vector<TraceDiff>(const Perturbation*,
-                                             std::size_t)>;
-    using GangFactory = std::function<GangRunner()>;
-
-    /// Route sweep() through gang execution: shard-local perturbations are
-    /// cut into blocks of `width` and each block runs in lockstep on one
-    /// worker's lanes. Results still reduce per perturbation in global
-    /// order, so the SweepResult is bit-identical to the scalar engine's
-    /// at every (jobs, shard, width) combination. `width <= 1` (or an
-    /// empty factory) restores the scalar path.
-    void set_gang(GangFactory make, std::size_t width) {
-        make_gang_ = std::move(make);
-        gang_width_ = width;
-    }
-
     /// Run the nominal configuration and capture the golden traces.
     void capture_nominal() {
         if (live_) {
@@ -202,30 +179,6 @@ class DeterminismHarness {
                 r.add_example(index[k], d.first_mismatch);
             }
         };
-        if (make_gang_ && gang_width_ > 1) {
-            // Shard filtering makes the selected perturbations
-            // non-contiguous in the input vector, so copy them into a dense
-            // shard-local array the block runner can take by pointer+count.
-            std::vector<Perturbation> local;
-            local.reserve(index.size());
-            for (std::uint64_t g : index) local.push_back(perturbations[g]);
-            const std::size_t w = gang_width_;
-            const std::size_t blocks = (local.size() + w - 1) / w;
-            st::runner::sweep_ctx(
-                blocks, jobs, [this] { return make_gang_(); },
-                [&](GangRunner& gang, std::size_t b) {
-                    const std::size_t lo = b * w;
-                    const std::size_t hi =
-                        std::min(lo + w, local.size());
-                    return gang(local.data() + lo, hi - lo);
-                },
-                [&](std::size_t b, std::vector<TraceDiff>&& diffs) {
-                    for (std::size_t j = 0; j < diffs.size(); ++j) {
-                        reduce_one(b * w + j, std::move(diffs[j]));
-                    }
-                });
-            return r;
-        }
         st::runner::sweep_ctx(
             index.size(), jobs, [this] { return SweepContext(*this); },
             [&](SweepContext& ctx, std::size_t k) {
@@ -276,8 +229,6 @@ class DeterminismHarness {
     std::uint64_t n_cycles_;
     bool streaming_ = true;
     bool early_exit_ = true;
-    GangFactory make_gang_;
-    std::size_t gang_width_ = 1;
     TraceSet golden_;
     GoldenIndex golden_index_;
     bool golden_captured_ = false;

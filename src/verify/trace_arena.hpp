@@ -211,7 +211,7 @@ class RunCapture {
     /// The attached checker is KEPT — attach once, run many.
     void begin_run();
 
-    /// Reset for the next run of the SAME Soc (gang lane reuse): clear
+    /// Reset for the next run of the SAME Soc (lane rewind): clear
     /// every registered stream in place — slots stay valid, so the probes
     /// already wired into the wrappers keep recording — restart the arrival
     /// counter and rewind the attached checker. The scheduler binding is

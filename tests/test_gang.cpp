@@ -1,34 +1,37 @@
-// Differential suite for the gang execution engine: blocks of fuzz cases
-// advanced in lockstep on persistent structure-of-arrays lanes must be
-// *indistinguishable* from the scalar CaseRunner — bit-identical campaign
-// summaries at every (jobs, gang width) point, identical per-case reports
-// (outcome, detail locus, event counts), peel handoffs that land on the
-// same classification as the uninterrupted scalar run, and checkpoints
-// portable between the two engines in both directions.
+// Rewind-equivalence suite for the case engine. Every campaign case runs on
+// its worker's persistent gang::Lane (fuzz::CaseRunner): rewind to the
+// pristine image or the warm-up prefix, bind the injector, apply the
+// delays live, run bounded, classify. That must be indistinguishable from
+// elaborating the perturbed spec afresh — identical per-case RunReports
+// (outcome, events, detail, locus) on every shipped spec and fault class,
+// the NoC-scale fixtures, warm-up fork and re-simulation, streaming and
+// batch verdicts, and delay corners the random draw never reaches — and a
+// lane must carry no residue from one case into the next. The tail checks
+// the rewind targets and the program the campaign shares with its lanes.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdio>
+#include <algorithm>
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "fuzz/campaign.hpp"
-#include "fuzz/gang_runner.hpp"
+#include "fuzz/case_exec.hpp"
 #include "fuzz/injector.hpp"
 #include "fuzz/shrink.hpp"
-#include "gang/delay_sweep.hpp"
+#include "gang/lane.hpp"
 #include "gang/program.hpp"
 #include "sim/random.hpp"
+#include "sva/fixtures.hpp"
 #include "sva/spec_text.hpp"
 #include "system/delay_config.hpp"
+#include "system/invariant_monitor.hpp"
 #include "system/soc.hpp"
 #include "system/testbenches.hpp"
-#include "verify/determinism.hpp"
 
 namespace {
 
@@ -47,422 +50,453 @@ sys::SocSpec fixture_spec(const char* file) {
     return sva::to_spec(sva::parse_spec_text(text));
 }
 
-std::string temp_path(const std::string& name) {
-    return ::testing::TempDir() + "st_gang_" + name;
+/// The bus spec's multi-ring rejects the ring-wire fault classes (the
+/// Injector throws), so it keeps the FIFO/restart classes only.
+std::vector<fuzz::FaultClass> classes_for(const std::string& spec_name) {
+    if (spec_name == "bus") {
+        return {fuzz::FaultClass::kFifoStall,
+                fuzz::FaultClass::kRestartGlitch};
+    }
+    return fuzz::all_fault_classes();
 }
 
-fuzz::CampaignSummary run_grid_point(const fuzz::Campaign& campaign,
-                                     std::uint64_t runs, std::uint64_t seed,
-                                     std::size_t jobs, std::size_t gang) {
-    fuzz::CampaignControl ctl;
-    ctl.gang_width = gang;
-    return campaign.run(runs, seed, {}, jobs, ctl);
-}
+/// Fresh-elaboration reference: the case on a Soc built for it alone —
+/// `sys::apply` then `Soc(spec, &cap)`; with a warm-up, the nominal Soc
+/// plus the strictly restored prefix or a re-simulated one, then the live
+/// delta — with its own capture, checker, injector and monitor.
+fuzz::RunReport run_fresh(const fuzz::Campaign& campaign,
+                          const fuzz::FuzzCase& c) {
+    const fuzz::CampaignConfig& cfg = campaign.config();
+    auto perturbed = std::make_shared<const sys::SocSpec>(
+        sys::apply(campaign.spec(), c.delays));
+    const sim::Time deadline = fuzz::case_deadline(
+        fuzz::max_effective_period(*perturbed), cfg.cycles);
 
-/// The core differential: the summary — counters, retained failure cases
-/// with their delay vectors, faults, details and loci — must be equal at
-/// every grid point, for this campaign configuration.
-void expect_grid_identical(const fuzz::Campaign& campaign,
-                           std::uint64_t runs, std::uint64_t seed) {
-    const auto reference = run_grid_point(campaign, runs, seed, 1, 1);
-    EXPECT_EQ(reference.runs, runs);
-    for (const std::size_t jobs : {1, 2, 4}) {
-        for (const std::size_t gang : {1, 4, 16}) {
-            if (jobs == 1 && gang == 1) continue;
-            const auto r = run_grid_point(campaign, runs, seed, jobs, gang);
-            EXPECT_TRUE(r == reference)
-                << "summary diverged at jobs=" << jobs << " gang=" << gang;
+    verify::RunCapture cap;
+    std::unique_ptr<verify::StreamingChecker> checker;
+    if (cfg.streaming) {
+        checker =
+            std::make_unique<verify::StreamingChecker>(campaign.golden_index());
+        checker->attach(cap);
+        checker->set_early_exit(cfg.classes.empty() && c.faults.empty());
+    }
+
+    std::unique_ptr<sys::Soc> soc;
+    if (cfg.warmup_cycles == 0) {
+        soc = std::make_unique<sys::Soc>(std::move(perturbed), &cap);
+    } else {
+        soc = std::make_unique<sys::Soc>(campaign.program()->spec_ptr(), &cap);
+        if (cfg.warmup_fork) {
+            soc->restore_snapshot(campaign.warmup_prefix());
+        } else {
+            bool budget = false;
+            fuzz::run_bounded(*soc, cfg.warmup_cycles, deadline,
+                              cfg.max_events, budget);
+            soc->settle();
         }
     }
+    const fuzz::Injector injector(*soc, c.faults);
+    const sys::InvariantMonitor monitor(*soc);
+    if (cfg.warmup_cycles > 0) sys::apply_live(*soc, c.delays);
+
+    bool budget_expired = false;
+    const bool goal = fuzz::run_bounded(*soc, cfg.cycles, deadline,
+                                        cfg.max_events, budget_expired);
+    return fuzz::classify_case(*soc, injector.fired(), goal, budget_expired,
+                               monitor.violations(), nullptr, checker.get(),
+                               campaign.golden_index(), cap);
+}
+
+std::string show(const fuzz::RunReport& r) {
+    std::ostringstream os;
+    os << fuzz::outcome_name(r.outcome) << " events=" << r.events
+       << " fired=" << r.faults_fired << " perr=" << r.protocol_errors
+       << " goal=" << r.goal_met << " detail='" << r.detail << "'";
+    return os.str();
+}
+
+std::vector<fuzz::FuzzCase> draw(const fuzz::Campaign& campaign,
+                                 std::size_t n, std::uint64_t seed) {
+    std::vector<fuzz::FuzzCase> cases;
+    sim::Rng rng(seed);
+    for (std::size_t i = 0; i < n; ++i) {
+        cases.push_back(campaign.random_case(rng));
+    }
+    return cases;
+}
+
+/// Delay corners outside random_case's draw (which clamps clocks to
+/// >= 75%): every dimension at 50%, every dimension at 200%, and every
+/// clock at 50% with the rest nominal.
+std::vector<sys::DelayConfig> envelope_corners(const sys::SocSpec& spec) {
+    const sys::DelayConfig nominal = sys::DelayConfig::nominal(spec);
+    std::vector<sys::DelayConfig> corners;
+    for (const unsigned pct : {50u, 200u}) {
+        sys::DelayConfig d = nominal;
+        for (std::size_t k = 0; k < d.dimensions(); ++k) d.set(k, pct);
+        corners.push_back(d);
+    }
+    sys::DelayConfig clocks = nominal;
+    for (auto& pct : clocks.clock_pct) pct = 50;
+    corners.push_back(clocks);
+    return corners;
+}
+
+/// Run `cases` in order on one CaseRunner and require every report to
+/// equal its fresh-elaboration reference. Returns the engine's reports.
+std::vector<fuzz::RunReport> expect_matches_fresh(
+    const fuzz::Campaign& campaign,
+    const std::vector<fuzz::FuzzCase>& cases) {
+    fuzz::CaseRunner runner(campaign);
+    std::vector<fuzz::RunReport> reports;
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        const fuzz::RunReport lane = runner.run(cases[i]);
+        const fuzz::RunReport fresh = run_fresh(campaign, cases[i]);
+        EXPECT_TRUE(lane == fresh) << "case " << i << "\n  lane:  "
+                                   << show(lane) << "\n  fresh: "
+                                   << show(fresh);
+        reports.push_back(lane);
+    }
+    return reports;
 }
 
 // --- shipped specs, fault-free and faulted -------------------------------
 
-TEST(GangDifferential, ShippedSpecsFaultFree) {
+TEST(RewindEquivalence, ShippedSpecsFaultFree) {
     for (const auto& name : sys::named_specs()) {
         SCOPED_TRACE(name);
         fuzz::CampaignConfig cfg;
         cfg.spec_name = name;
         cfg.cycles = 60;
         const fuzz::Campaign campaign(cfg);
-        expect_grid_identical(campaign, 18, 17);
+        expect_matches_fresh(campaign, draw(campaign, 18, 17));
     }
 }
 
-TEST(GangDifferential, ShippedSpecsAllFaultClasses) {
+TEST(RewindEquivalence, ShippedSpecsAllFaultClasses) {
     for (const auto& name : sys::named_specs()) {
         SCOPED_TRACE(name);
         fuzz::CampaignConfig cfg;
         cfg.spec_name = name;
         cfg.cycles = 60;
-        // The bus spec's multi-ring rejects ring-wire fault classes
-        // (Injector throws on both engines, pre-existing); exercise the
-        // FIFO/restart classes there and the full set everywhere else.
-        cfg.classes = name == "bus"
-                          ? std::vector<fuzz::FaultClass>{
-                                fuzz::FaultClass::kFifoStall,
-                                fuzz::FaultClass::kRestartGlitch}
-                          : fuzz::all_fault_classes();
+        cfg.classes = classes_for(name);
         cfg.max_faults = 2;
         const fuzz::Campaign campaign(cfg);
-        expect_grid_identical(campaign, 18, 29);
-    }
-}
-
-// Warm-up prefixes interact with lane rewind (fork restores the shared
-// snapshot; non-fork re-simulates the prefix on the lane): both must stay
-// on the scalar engine's summary.
-TEST(GangDifferential, WarmupForkAndNonFork) {
-    for (const bool fork : {true, false}) {
-        SCOPED_TRACE(fork ? "fork" : "non-fork");
-        fuzz::CampaignConfig cfg;
-        cfg.spec_name = "pair";
-        cfg.cycles = 80;
-        cfg.warmup_cycles = 30;
-        cfg.warmup_fork = fork;
-        cfg.classes = fuzz::all_fault_classes();
-        const fuzz::Campaign campaign(cfg);
-        const auto reference = run_grid_point(campaign, 24, 5, 1, 1);
-        for (const std::size_t gang : {4, 16}) {
-            const auto r = run_grid_point(campaign, 24, 5, 2, gang);
-            EXPECT_TRUE(r == reference) << "gang=" << gang;
+        const auto reports =
+            expect_matches_fresh(campaign, draw(campaign, 18, 29));
+        // The draw must exercise more than the happy path.
+        if (name == "pair") {
+            EXPECT_TRUE(std::any_of(
+                reports.begin(), reports.end(), [](const fuzz::RunReport& r) {
+                    return r.outcome != fuzz::Outcome::kDeterministic;
+                }));
         }
     }
-}
-
-// Batch (offline diff) classification composes with gang lanes too: the
-// lanes simply run without checkers and diff at the end.
-TEST(GangDifferential, NoStreamingMode) {
-    fuzz::CampaignConfig cfg;
-    cfg.spec_name = "triangle";
-    cfg.cycles = 60;
-    cfg.streaming = false;
-    cfg.classes = fuzz::all_fault_classes();
-    const fuzz::Campaign campaign(cfg);
-    const auto reference = run_grid_point(campaign, 16, 3, 1, 1);
-    const auto gang = run_grid_point(campaign, 16, 3, 2, 8);
-    EXPECT_TRUE(gang == reference);
 }
 
 // --- NoC-scale fixture specs ---------------------------------------------
 
-TEST(GangDifferential, TopoFixtureSpecs) {
+TEST(RewindEquivalence, TopoFixtureSpecs) {
     for (const char* file : {"mesh_8x8.stspec", "star_64.stspec"}) {
         SCOPED_TRACE(file);
+        const sys::SocSpec spec = fixture_spec(file);
+        for (const bool faulted : {false, true}) {
+            SCOPED_TRACE(faulted ? "faulted" : "fault-free");
+            fuzz::CampaignConfig cfg;
+            cfg.spec_name = file;
+            cfg.cycles = 50;
+            if (faulted) cfg.classes = fuzz::all_fault_classes();
+            const fuzz::Campaign campaign(cfg, spec);
+            const auto reports =
+                expect_matches_fresh(campaign, draw(campaign, 4, 11));
+            if (!faulted) {
+                for (const auto& r : reports) {
+                    EXPECT_EQ(r.outcome, fuzz::Outcome::kDeterministic)
+                        << "synchro-token fixture must be delay-insensitive";
+                }
+            }
+        }
+    }
+}
+
+// --- warm-up and verdict modes --------------------------------------------
+
+// Fork restores the shared prefix image; non-fork re-simulates the prefix
+// on the rewound lane with its monitor's edge observers gated.
+TEST(RewindEquivalence, WarmupForkAndNonFork) {
+    for (const char* name : {"pair", "triangle"}) {
+        for (const bool fork : {true, false}) {
+            SCOPED_TRACE(std::string(name) + (fork ? " fork" : " non-fork"));
+            fuzz::CampaignConfig cfg;
+            cfg.spec_name = name;
+            cfg.cycles = 80;
+            cfg.warmup_cycles = 30;
+            cfg.warmup_fork = fork;
+            cfg.classes = fuzz::all_fault_classes();
+            const fuzz::Campaign campaign(cfg);
+            expect_matches_fresh(campaign, draw(campaign, 16, 5));
+        }
+    }
+}
+
+TEST(RewindEquivalence, StreamingOnAndOff) {
+    for (const bool streaming : {true, false}) {
+        for (const bool faulted : {false, true}) {
+            SCOPED_TRACE(std::string(streaming ? "streaming" : "batch") +
+                         (faulted ? " faulted" : " fault-free"));
+            fuzz::CampaignConfig cfg;
+            cfg.spec_name = "triangle";
+            cfg.cycles = 60;
+            cfg.streaming = streaming;
+            if (faulted) cfg.classes = fuzz::all_fault_classes();
+            const fuzz::Campaign campaign(cfg);
+            expect_matches_fresh(campaign, draw(campaign, 12, 3));
+        }
+    }
+}
+
+// --- envelope corners -------------------------------------------------------
+
+// Every shipped spec at the corners, fault-free and with the draw's faults
+// grafted on, cold and forked from a warm-up prefix. Clocks at 50% break
+// the bundling constraints, so these cases also drive divergent early
+// exits and invariant trips through the rewind path.
+TEST(RewindEquivalence, EnvelopeCornersRandomCaseNeverDraws) {
+    for (const auto& name : sys::named_specs()) {
+        for (const bool warm : {false, true}) {
+            SCOPED_TRACE(name + (warm ? " warm" : " cold"));
+            fuzz::CampaignConfig cfg;
+            cfg.spec_name = name;
+            cfg.cycles = 60;
+            if (warm) cfg.warmup_cycles = 20;
+            const fuzz::Campaign fault_free(cfg);
+            cfg.classes = classes_for(name);
+            const fuzz::Campaign faulted(cfg);
+
+            const auto corners = envelope_corners(fault_free.spec());
+            std::vector<fuzz::FuzzCase> clean;
+            std::vector<fuzz::FuzzCase> dirty;
+            const auto faults = draw(faulted, corners.size(), 41);
+            for (std::size_t i = 0; i < corners.size(); ++i) {
+                clean.push_back(fuzz::FuzzCase{corners[i], {}});
+                dirty.push_back(fuzz::FuzzCase{corners[i], faults[i].faults});
+            }
+            expect_matches_fresh(fault_free, clean);
+            expect_matches_fresh(faulted, dirty);
+        }
+    }
+}
+
+// --- campaign workers ---------------------------------------------------------
+
+// Campaign::run builds one CaseRunner per engine worker, on that worker's
+// thread; every case it reduces must equal its fresh elaboration whichever
+// worker ran it and whatever that worker ran before.
+TEST(RewindEquivalence, CampaignRunWorkersMatchFresh) {
+    for (const bool warm : {false, true}) {
+        SCOPED_TRACE(warm ? "warm fork" : "cold");
         fuzz::CampaignConfig cfg;
-        cfg.spec_name = file;
-        cfg.cycles = 50;
-        const fuzz::Campaign campaign(cfg, fixture_spec(file));
-        const auto reference = run_grid_point(campaign, 6, 11, 1, 1);
-        EXPECT_EQ(reference.by_outcome[0], 6u)
-            << "synchro-token fixture must be delay-insensitive";
-        for (const std::size_t gang : {4, 16}) {
-            const auto r = run_grid_point(campaign, 6, 11, 2, gang);
-            EXPECT_TRUE(r == reference) << "gang=" << gang;
-        }
-    }
-}
-
-// --- sharding / blocks ----------------------------------------------------
-
-// Gang blocks are formed from *shard-local* case indices, so shard
-// summaries produced on the gang engine merge to the same single-process
-// summary as scalar shards.
-TEST(GangDifferential, ShardedGangMergesToScalarWhole) {
-    fuzz::CampaignConfig cfg;
-    cfg.spec_name = "pair";
-    cfg.cycles = 60;
-    cfg.classes = fuzz::all_fault_classes();
-    const fuzz::Campaign campaign(cfg);
-    const auto whole = run_grid_point(campaign, 30, 7, 1, 1);
-
-    std::vector<fuzz::CampaignSummary> parts;
-    for (std::uint64_t i = 0; i < 3; ++i) {
-        fuzz::CampaignControl ctl;
-        ctl.gang_width = 4;
-        ctl.shard = runner::Shard{i, 3};
-        parts.push_back(campaign.run(30, 7, {}, 2, ctl));
-    }
-    EXPECT_TRUE(fuzz::merge_shards(parts) == whole);
-}
-
-// The on_run observation stream (global index, case, report) must be the
-// scalar stream even though execution happens in lockstep blocks.
-TEST(GangDifferential, OnRunSequenceMatchesScalar) {
-    fuzz::CampaignConfig cfg;
-    cfg.spec_name = "pair";
-    cfg.cycles = 60;
-    cfg.classes = {fuzz::FaultClass::kTokenDropWire};
-    const fuzz::Campaign campaign(cfg);
-
-    using Seen = std::vector<std::pair<std::size_t, fuzz::RunReport>>;
-    const auto observe = [&](std::size_t gang_width) {
-        Seen seen;
-        fuzz::CampaignControl ctl;
-        ctl.gang_width = gang_width;
-        campaign.run(
-            20, 13,
-            [&](std::size_t i, const fuzz::FuzzCase&,
-                const fuzz::RunReport& r) { seen.emplace_back(i, r); },
-            1, ctl);
-        return seen;
-    };
-    EXPECT_TRUE(observe(8) == observe(1));
-}
-
-// --- peeling --------------------------------------------------------------
-
-// Force divergence-under-fault: cases whose scalar classification is
-// kTraceDivergent keep early-exit off, so the gang lane diverges mid-flight
-// and must peel onto the scalar finisher — and still report the same
-// outcome, locus, and event count as the uninterrupted scalar run.
-TEST(GangPeel, DivergentFaultedCasesPeelToSameClassification) {
-    fuzz::CampaignConfig cfg;
-    cfg.spec_name = "pair";
-    cfg.cycles = 80;
-    cfg.classes = fuzz::all_fault_classes();
-    cfg.max_faults = 2;
-    const fuzz::Campaign campaign(cfg);
-
-    // Draw until we have a block's worth of scalar-divergent cases.
-    sim::Rng rng(21);
-    std::vector<fuzz::FuzzCase> divergent;
-    std::vector<fuzz::RunReport> expected;
-    fuzz::CaseRunner scalar(campaign);
-    for (int draws = 0; draws < 4000 && divergent.size() < 4; ++draws) {
-        const auto c = campaign.random_case(rng);
-        const auto r = scalar.run(c);
-        if (r.outcome == fuzz::Outcome::kTraceDivergent) {
-            divergent.push_back(c);
-            expected.push_back(r);
-        }
-    }
-    ASSERT_EQ(divergent.size(), 4u)
-        << "seed 21 no longer yields divergent faulted cases; pick another";
-
-    // A small lockstep window: peel checks happen only at window
-    // boundaries, and these short cases finish inside the default 2048.
-    fuzz::GangRunner gang(campaign, divergent.size(), /*window=*/64);
-    const auto reports = gang.run_block(divergent.data(), divergent.size());
-    EXPECT_GT(gang.lanes_peeled(), 0u)
-        << "divergent faulted lanes must take the peel path";
-    ASSERT_EQ(reports.size(), expected.size());
-    for (std::size_t i = 0; i < reports.size(); ++i) {
-        EXPECT_TRUE(reports[i] == expected[i])
-            << "case " << i << ": " << reports[i].detail << " vs "
-            << expected[i].detail;
-    }
-}
-
-// Lanes are reused across blocks: running the same block twice on one
-// runner must give identical reports (rewind leaves no residue), and a
-// peeled block must not contaminate the next.
-TEST(GangPeel, LaneReuseAcrossBlocksIsStateless) {
-    fuzz::CampaignConfig cfg;
-    cfg.spec_name = "pair";
-    cfg.cycles = 60;
-    cfg.classes = fuzz::all_fault_classes();
-    const fuzz::Campaign campaign(cfg);
-
-    sim::Rng rng(33);
-    std::vector<fuzz::FuzzCase> block;
-    for (int i = 0; i < 8; ++i) block.push_back(campaign.random_case(rng));
-
-    fuzz::GangRunner gang(campaign, block.size());
-    const auto first = gang.run_block(block.data(), block.size());
-    const auto second = gang.run_block(block.data(), block.size());
-    EXPECT_TRUE(first == second);
-}
-
-// --- checkpoints across engines ------------------------------------------
-
-TEST(GangCheckpoint, CrossEngineResumeBothWays) {
-    fuzz::CampaignConfig cfg;
-    cfg.spec_name = "pair";
-    cfg.cycles = 60;
-    cfg.classes = fuzz::all_fault_classes();
-    const fuzz::Campaign campaign(cfg);
-    const auto whole = run_grid_point(campaign, 48, 19, 1, 1);
-
-    struct Leg {
-        std::size_t stop_gang;    ///< engine that runs the prefix
-        std::size_t resume_gang;  ///< engine that finishes the campaign
-    };
-    for (const Leg leg : {Leg{1, 4}, Leg{4, 1}}) {
-        SCOPED_TRACE(std::to_string(leg.stop_gang) + "->" +
-                     std::to_string(leg.resume_gang));
-        const std::string path =
-            temp_path("xengine_" + std::to_string(leg.stop_gang) + ".ckpt");
-
-        fuzz::CampaignControl stop;
-        stop.gang_width = leg.stop_gang;
-        stop.checkpoint_path = path;
-        stop.stop_after = 20;
-        const auto prefix = campaign.run(48, 19, {}, 2, stop);
-        EXPECT_EQ(prefix.runs, 20u);
-
-        fuzz::CampaignControl resume;
-        resume.gang_width = leg.resume_gang;
-        resume.checkpoint_path = path;
-        resume.resume = true;
-        const auto finished = campaign.run(48, 19, {}, 2, resume);
-        EXPECT_TRUE(finished == whole);
-        std::remove(path.c_str());
-    }
-}
-
-// --- shrink / replay ------------------------------------------------------
-
-// A failure retained by a gang campaign shrinks and replays exactly like
-// the scalar-retained failure (they are the same case by summary equality;
-// this pins the whole loop end to end).
-TEST(GangShrink, GangRetainedFailureShrinksAndReplays) {
-    fuzz::CampaignConfig cfg;
-    cfg.spec_name = "pair";
-    cfg.cycles = 80;
-    cfg.classes = {fuzz::FaultClass::kTokenDropWire};
-    const fuzz::Campaign campaign(cfg);
-
-    const auto gang_summary = run_grid_point(campaign, 40, 7, 2, 8);
-    const auto scalar_summary = run_grid_point(campaign, 40, 7, 1, 1);
-    ASSERT_TRUE(gang_summary == scalar_summary);
-    ASSERT_FALSE(gang_summary.failures.empty());
-
-    const auto& failure = gang_summary.failures.front();
-    const auto shrunk = fuzz::shrink(campaign, failure.c);
-    EXPECT_EQ(shrunk.outcome, failure.report.outcome);
-    // The shrunk case replays deterministically on both engines.
-    const auto scalar_replay = campaign.run_case(shrunk.minimal);
-    EXPECT_EQ(scalar_replay.outcome, shrunk.outcome);
-    fuzz::GangRunner gang(campaign, 1);
-    const auto replayed = gang.run_block(&shrunk.minimal, 1);
-    ASSERT_EQ(replayed.size(), 1u);
-    EXPECT_TRUE(replayed[0] == scalar_replay);
-}
-
-// --- determinism-harness gang front-end ----------------------------------
-
-// The DelayConfig sweep runner (st_topo --gang) against the scalar batch
-// harness: identical SweepResults over the whole (jobs, gang) grid on a
-// NoC-scale fixture.
-TEST(GangHarness, DelaySweepMatchesScalarAcrossGrid) {
-    const sys::SocSpec spec = fixture_spec("star_64.stspec");
-    const std::uint64_t cycles = 50;
-    const std::uint64_t horizon = cycles + 40;
-    const auto run = [&](const sys::DelayConfig& dc) {
-        sys::Soc soc(sys::apply(spec, dc));
-        soc.run_cycles(horizon, sim::ms(2000));
-        return soc.traces();
-    };
-    verify::DeterminismHarness<sys::DelayConfig> harness(
-        run, sys::DelayConfig::nominal(spec), cycles);
-    harness.capture_nominal();
-
-    std::vector<sys::DelayConfig> sweep;
-    sim::Rng rng(77);
-    for (int k = 0; k < 6; ++k) {
-        auto dc = sys::DelayConfig::nominal(spec);
-        const unsigned percents[4] = {50, 75, 150, 200};
-        for (std::size_t d = 0; d < dc.dimensions(); ++d) {
-            const bool clock =
-                d >= dc.dimensions() - dc.clock_pct.size();
-            const unsigned pct = percents[rng.next_below(4)];
-            dc.set(d, clock ? std::max(75u, pct) : pct);
-        }
-        sweep.push_back(dc);
-    }
-
-    const auto reference = harness.sweep(sweep, 1);
-    EXPECT_TRUE(reference.all_match());
-    for (const std::size_t gang : {2, 4}) {
-        harness.set_gang(
-            [&spec, &harness, horizon, gang] {
-                return gang::make_delay_block_runner(
-                    spec, harness.golden_index(), horizon, sim::ms(2000),
-                    gang);
+        cfg.spec_name = "pair";
+        cfg.cycles = 60;
+        cfg.classes = fuzz::all_fault_classes();
+        if (warm) cfg.warmup_cycles = 25;
+        const fuzz::Campaign campaign(cfg);
+        std::size_t seen = 0;
+        const auto summary = campaign.run(
+            24, 13,
+            [&](std::size_t i, const fuzz::FuzzCase& c,
+                const fuzz::RunReport& lane) {
+                ++seen;
+                const fuzz::RunReport fresh = run_fresh(campaign, c);
+                EXPECT_TRUE(lane == fresh) << "case " << i << "\n  lane:  "
+                                           << show(lane) << "\n  fresh: "
+                                           << show(fresh);
             },
-            gang);
-        for (const std::size_t jobs : {1, 2}) {
-            const auto r = harness.sweep(sweep, jobs);
-            EXPECT_TRUE(r == reference)
-                << "jobs=" << jobs << " gang=" << gang;
-        }
+            3);
+        EXPECT_EQ(seen, 24u);
+        EXPECT_LT(summary.by_outcome[static_cast<std::size_t>(
+                      fuzz::Outcome::kDeterministic)],
+                  24u);
     }
 }
 
-// --- shared program & delta rewind ---------------------------------------
+// A case the Injector rejects throws out of CaseRunner::run as it does out
+// of a fresh elaboration. The spurious token validated before the bad
+// fault is already scheduled on the lane's Soc when the constructor throws;
+// the next case's rewind must discard it, so the lane stays usable.
+TEST(RewindEquivalence, RejectedCaseLeavesLaneClean) {
+    fuzz::CampaignConfig cfg;
+    cfg.spec_name = "pair";
+    cfg.cycles = 60;
+    cfg.classes = fuzz::all_fault_classes();
+    const fuzz::Campaign campaign(cfg);
+    const auto cases = draw(campaign, 6, 21);
 
-/// Exercise one campaign's lane through a fault-free case, a faulted case,
-/// and a peel-style mid-run handoff; after each, both rewind flavours —
-/// the plan (delta) path and a fresh strict full restore — must land the
-/// lane on the program's exact pristine state, witnessed by re-serializing
-/// the live state and comparing digests.
+    fuzz::FuzzCase rejected{sys::DelayConfig::nominal(campaign.spec()), {}};
+    fuzz::Fault spurious;
+    spurious.cls = fuzz::FaultClass::kSpuriousToken;
+    spurious.value = 1000;
+    fuzz::Fault stall;
+    stall.cls = fuzz::FaultClass::kFifoStall;
+    stall.unit = 99;  // no such channel
+    stall.value = 500;
+    rejected.faults = {spurious, stall};
+
+    EXPECT_THROW(run_fresh(campaign, rejected), std::invalid_argument);
+    fuzz::CaseRunner runner(campaign);
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        SCOPED_TRACE("case " + std::to_string(i));
+        EXPECT_THROW(runner.run(rejected), std::invalid_argument);
+        const fuzz::RunReport lane = runner.run(cases[i]);
+        const fuzz::RunReport fresh = run_fresh(campaign, cases[i]);
+        EXPECT_TRUE(lane == fresh) << "\n  lane:  " << show(lane)
+                                   << "\n  fresh: " << show(fresh);
+    }
+}
+
+// --- shrink -------------------------------------------------------------------
+
+// fuzz::shrink runs every attempt on one CaseRunner. The minimal case it
+// settles on must reproduce its outcome on a fresh elaboration, and a second
+// shrink of the same failure must retrace the first exactly.
+TEST(RewindEquivalence, ShrunkCaseReplaysOnFreshElaboration) {
+    for (const bool warm : {false, true}) {
+        SCOPED_TRACE(warm ? "warm fork" : "cold");
+        fuzz::CampaignConfig cfg;
+        cfg.spec_name = "pair";
+        cfg.cycles = 60;
+        cfg.classes = fuzz::all_fault_classes();
+        if (warm) cfg.warmup_cycles = 25;
+        const fuzz::Campaign campaign(cfg);
+        std::size_t shrunk = 0;
+        for (const auto& c : draw(campaign, 12, 29)) {
+            const fuzz::RunReport report = run_fresh(campaign, c);
+            if (report.outcome == fuzz::Outcome::kDeterministic) continue;
+            const fuzz::ShrinkResult first = fuzz::shrink(campaign, c);
+            const fuzz::ShrinkResult again = fuzz::shrink(campaign, c);
+            EXPECT_TRUE(first.minimal == again.minimal);
+            EXPECT_EQ(first.outcome, again.outcome);
+            EXPECT_EQ(first.attempts, again.attempts);
+            EXPECT_EQ(first.outcome, report.outcome);
+            EXPECT_LE(first.minimal.complexity(), c.complexity());
+            EXPECT_EQ(run_fresh(campaign, first.minimal).outcome,
+                      first.outcome);
+            if (++shrunk == 3) break;
+        }
+        EXPECT_EQ(shrunk, 3u);
+    }
+}
+
+// --- early exit ---------------------------------------------------------------
+
+// The late-head fixture's FIFO service envelope is corner-unstable, so its
+// fault-free cases diverge: the checker stops the run at the first
+// mismatch, and the next case must start from a clean rewind.
+TEST(RewindEquivalence, DivergentEarlyExitFixture) {
+    for (const bool streaming : {true, false}) {
+        SCOPED_TRACE(streaming ? "streaming" : "batch");
+        fuzz::CampaignConfig cfg;
+        cfg.spec_name = "late-head";
+        cfg.cycles = 60;
+        cfg.streaming = streaming;
+        const fuzz::Campaign campaign(cfg, sva::make_fixture("late-head"));
+        std::vector<fuzz::FuzzCase> cases = draw(campaign, 12, 7);
+        for (const auto& d : envelope_corners(campaign.spec())) {
+            cases.push_back(fuzz::FuzzCase{d, {}});
+        }
+        const auto reports = expect_matches_fresh(campaign, cases);
+        EXPECT_TRUE(std::any_of(
+            reports.begin(), reports.end(), [](const fuzz::RunReport& r) {
+                return r.outcome == fuzz::Outcome::kTraceDivergent;
+            }));
+    }
+}
+
+// --- residue ------------------------------------------------------------------
+
+/// Run `cases` forward, then reversed, on one lane: every case must report
+/// the same either way.
+void expect_order_independent(const fuzz::Campaign& campaign,
+                              const std::vector<fuzz::FuzzCase>& cases) {
+    fuzz::CaseRunner runner(campaign);
+    std::vector<fuzz::RunReport> forward;
+    for (const auto& c : cases) forward.push_back(runner.run(c));
+    std::vector<fuzz::RunReport> backward(cases.size());
+    for (std::size_t i = cases.size(); i-- > 0;) {
+        backward[i] = runner.run(cases[i]);
+    }
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        EXPECT_TRUE(forward[i] == backward[i])
+            << "case " << i << "\n  forward:  " << show(forward[i])
+            << "\n  backward: " << show(backward[i]);
+    }
+}
+
+// No case may leave state behind for the next: delay registers, pending
+// fault events and injector hooks (the faulted pair lists), monitor phases,
+// checker verdicts, or a scheduler stop request (the late-head list, whose
+// fault-free divergent cases stop early).
+TEST(RewindEquivalence, NoResidueAcrossCaseOrder) {
+    for (const bool warm : {false, true}) {
+        SCOPED_TRACE(warm ? "pair warm fork" : "pair cold");
+        fuzz::CampaignConfig cfg;
+        cfg.spec_name = "pair";
+        cfg.cycles = 60;
+        cfg.classes = fuzz::all_fault_classes();
+        if (warm) cfg.warmup_cycles = 25;
+        const fuzz::Campaign campaign(cfg);
+        std::vector<fuzz::FuzzCase> cases = draw(campaign, 24, 33);
+        for (const auto& d : envelope_corners(campaign.spec())) {
+            cases.push_back(fuzz::FuzzCase{d, {}});
+        }
+        expect_order_independent(campaign, cases);
+    }
+    {
+        SCOPED_TRACE("late-head");
+        fuzz::CampaignConfig cfg;
+        cfg.spec_name = "late-head";
+        cfg.cycles = 60;
+        const fuzz::Campaign campaign(cfg, sva::make_fixture("late-head"));
+        expect_order_independent(campaign, draw(campaign, 16, 9));
+    }
+}
+
+// --- plan rewind vs strict restore ----------------------------------------
+
+/// Exercise one campaign's lane through a fault-free case and a faulted
+/// case; after each, both rewind flavours — the plan path and a strict
+/// full restore — must land the lane on the program's exact pristine state,
+/// witnessed by re-serializing the live state and comparing digests.
 void check_rewind_equivalence(const fuzz::Campaign& campaign,
                               std::uint64_t cycles) {
-    gang::Lane::Options opt;
-    opt.golden = &campaign.golden_index();
-    opt.monitor = true;
-    gang::Lane lane(campaign.program(), opt);
+    gang::Lane lane(campaign.program(), {.golden = &campaign.golden_index(),
+                                         .monitor = true});
     const std::uint64_t pristine = lane.pristine().digest();
     const sim::Time deadline = sim::ms(2000);
 
     sim::Rng rng(91);
-    const auto dirty = [&](gang::Lane& l, const fuzz::FuzzCase& c,
-                           std::uint64_t n) {
-        // Injector scoped per case, as GangRunner scopes its own: rewinds
+    const auto dirty = [&](const fuzz::FuzzCase& c) {
+        // Injector scoped per case, as CaseRunner scopes its own: rewinds
         // happen with no per-case hooks attached.
-        fuzz::Injector inj(l.soc(), c.faults);
-        sys::apply_live(l.soc(), c.delays);
-        l.soc().run_cycles(n, deadline);
+        const fuzz::Injector inj(lane.soc(), c.faults);
+        sys::apply_live(lane.soc(), c.delays);
+        lane.soc().run_cycles(cycles, deadline);
     };
 
-    // Fault-free, then faulted: plan rewind vs strict restore, both back
-    // to the pristine digest.
     for (int k = 0; k < 2; ++k) {
         fuzz::FuzzCase c = campaign.random_case(rng);
         if (k == 0) c.faults.clear();
         SCOPED_TRACE(k == 0 ? "fault-free" : "faulted");
 
         lane.rewind();
-        dirty(lane, c, cycles);
-        lane.rewind();  // delta path through the shared plan
+        dirty(c);
+        lane.rewind();  // trusted parse through the program's plan
         EXPECT_EQ(lane.soc().pristine_image().digest(), pristine);
 
-        dirty(lane, c, cycles);
+        dirty(c);
         lane.soc().reset_from_image(lane.pristine());  // strict full parse
         EXPECT_EQ(lane.soc().pristine_image().digest(), pristine);
     }
-
-    // Peel-style handoff: image the lane mid-case with the injector's
-    // counters, restore onto a finisher lane sharing the same program, run
-    // the finisher out — then plan-rewind both lanes. The handoff must
-    // leave no residue in either.
-    const fuzz::FuzzCase pc = campaign.random_case(rng);
-    lane.rewind();
-    snap::Snapshot handoff;
-    {
-        fuzz::Injector inj(lane.soc(), pc.faults);
-        sys::apply_live(lane.soc(), pc.delays);
-        lane.soc().run_cycles(cycles / 2, deadline);
-        lane.soc().settle();
-        handoff = lane.soc().save_snapshot(
-            [&inj](snap::StateWriter& w) { inj.save_state(w); });
-    }
-    gang::Lane finisher(campaign.program(), opt);
-    EXPECT_EQ(finisher.program().get(), lane.program().get());
-    {
-        fuzz::Injector fin_inj(finisher.soc(), pc.faults,
-                               /*defer_spurious=*/true);
-        finisher.rewind(handoff, [&fin_inj](snap::StateReader& r) {
-            fin_inj.restore_state(r);
-        });
-        sys::apply_live(finisher.soc(), pc.delays);
-        finisher.soc().run_cycles(cycles, deadline);
-    }
-    finisher.rewind();
-    EXPECT_EQ(finisher.soc().pristine_image().digest(), pristine);
-    lane.rewind();
-    EXPECT_EQ(lane.soc().pristine_image().digest(), pristine);
 }
 
 TEST(GangRewind, PlanRewindMatchesStrictRestoreShippedSpecs) {
@@ -471,11 +505,7 @@ TEST(GangRewind, PlanRewindMatchesStrictRestoreShippedSpecs) {
         fuzz::CampaignConfig cfg;
         cfg.spec_name = name;
         cfg.cycles = 40;
-        cfg.classes = name == "bus"
-                          ? std::vector<fuzz::FaultClass>{
-                                fuzz::FaultClass::kFifoStall,
-                                fuzz::FaultClass::kRestartGlitch}
-                          : fuzz::all_fault_classes();
+        cfg.classes = classes_for(name);
         const fuzz::Campaign campaign(cfg);
         check_rewind_equivalence(campaign, cfg.cycles);
     }
@@ -493,72 +523,88 @@ TEST(GangRewind, PlanRewindMatchesStrictRestoreTopoFixtures) {
     }
 }
 
-// --- program registry sharing --------------------------------------------
+// The warm-up rewind target: after fault-free and faulted cases, rewinding
+// to the campaign's prefix image through its plan and through a strict
+// parse must both land on the prefix state exactly.
+TEST(GangRewind, WarmupPrefixPlanRewindMatchesStrictRestore) {
+    for (const auto& name : sys::named_specs()) {
+        SCOPED_TRACE(name);
+        fuzz::CampaignConfig cfg;
+        cfg.spec_name = name;
+        cfg.cycles = 40;
+        cfg.warmup_cycles = 20;
+        cfg.classes = classes_for(name);
+        const fuzz::Campaign campaign(cfg);
+        const snap::Snapshot& prefix = campaign.warmup_prefix();
+        const snap::RewindPlan* plan = campaign.warmup_prefix_plan();
+        ASSERT_NE(plan, nullptr);
 
-// Every holder on one spec key — lanes, the campaign itself, a sweep
-// context's DelaySweepRunner — must hand back the identical Program
-// object, not an equivalent copy: one elaboration, one pristine image, one
-// plan per process.
-TEST(GangProgram, LanesCampaignAndSweepContextShareOneProgram) {
-    fuzz::CampaignConfig cfg;
-    cfg.spec_name = "pair";
-    cfg.cycles = 40;
-    const fuzz::Campaign campaign(cfg);
-
-    const sys::SocSpec spec = sys::make_named_spec("pair");
-    gang::Lane a(spec, {});
-    gang::Lane b(spec, {});
-    EXPECT_EQ(a.program().get(), b.program().get());
-    EXPECT_EQ(a.program().get(), campaign.program().get());
-
-    gang::DelaySweepRunner sweep(spec, campaign.golden_index(), cfg.cycles,
-                                 sim::ms(2000), /*width=*/2);
-    EXPECT_EQ(sweep.program().get(), campaign.program().get());
-
-    // A perturbed spec is a different program: its key is cleared, so it
-    // gets a private elaboration, never the nominal registry entry.
-    auto dc = sys::DelayConfig::nominal(spec);
-    dc.set(0, 150);
-    const sys::SocSpec perturbed = sys::apply(spec, dc);
-    EXPECT_TRUE(perturbed.program_key.empty());
-    EXPECT_NE(gang::Program::get(perturbed).get(), a.program().get());
+        gang::Lane lane(campaign.program(), {.golden = &campaign.golden_index(),
+                                             .monitor = true});
+        sim::Rng rng(57);
+        for (int k = 0; k < 2; ++k) {
+            fuzz::FuzzCase c = campaign.random_case(rng);
+            if (k == 0) c.faults.clear();
+            SCOPED_TRACE(k == 0 ? "fault-free" : "faulted");
+            for (const snap::RewindPlan* p :
+                 {plan, static_cast<const snap::RewindPlan*>(nullptr)}) {
+                lane.rewind(prefix, p);
+                EXPECT_EQ(lane.soc().state_digest(), prefix.digest())
+                    << (p != nullptr ? "plan" : "strict");
+                const fuzz::Injector inj(lane.soc(), c.faults);
+                sys::apply_live(lane.soc(), c.delays);
+                lane.soc().run_cycles(cfg.cycles, sim::ms(2000));
+            }
+        }
+    }
 }
 
-// A concurrent race on one never-seen key must yield exactly one registry
-// entry and one elaboration (construction happens under the registry
-// lock); every thread gets the identical pointer. Run under TSan in CI.
-TEST(GangProgram, ConcurrentGetYieldsExactlyOneEntry) {
-    sys::SocSpec spec = sys::make_named_spec("pair");
-    spec.program_key = "test:concurrent-get";
-    const std::uint64_t misses0 = gang::Program::registry_misses();
-    const std::uint64_t hits0 = gang::Program::registry_hits();
-    const std::size_t entries0 = gang::Program::registry_entries();
+// --- program ------------------------------------------------------------------
 
-    constexpr int kThreads = 8;
-    std::atomic<int> ready{0};
-    std::atomic<bool> go{false};
-    std::vector<std::shared_ptr<const gang::Program>> got(kThreads);
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int i = 0; i < kThreads; ++i) {
-        threads.emplace_back([&, i] {
-            ready.fetch_add(1);
-            while (!go.load()) std::this_thread::yield();
-            got[static_cast<std::size_t>(i)] = gang::Program::get(spec);
-        });
+// Program::get is a plain factory with no process-wide cache: every call
+// elaborates a program of its own. The shared_ptr overload keeps the
+// caller's spec, the const& overload copies it once, and both images are
+// the same pristine state.
+TEST(GangProgram, GetElaboratesAProgramPerCall) {
+    for (const auto& name : sys::named_specs()) {
+        SCOPED_TRACE(name);
+        const auto spec =
+            std::make_shared<const sys::SocSpec>(sys::make_named_spec(name));
+        const auto shared = gang::Program::get(spec);
+        const auto copied = gang::Program::get(*spec);
+        const auto again = gang::Program::get(spec);
+        EXPECT_NE(shared.get(), again.get());
+        EXPECT_EQ(shared->spec_ptr().get(), spec.get());
+        EXPECT_EQ(again->spec_ptr().get(), spec.get());
+        EXPECT_NE(copied->spec_ptr().get(), spec.get());
+        EXPECT_EQ(shared->digest(), copied->digest());
+        EXPECT_EQ(shared->digest(), again->digest());
     }
-    while (ready.load() < kThreads) std::this_thread::yield();
-    go.store(true);
-    for (auto& t : threads) t.join();
+    EXPECT_THROW(gang::Program::get(std::shared_ptr<const sys::SocSpec>{}),
+                 std::invalid_argument);
+}
 
-    for (int i = 0; i < kThreads; ++i) {
-        ASSERT_NE(got[static_cast<std::size_t>(i)], nullptr);
-        EXPECT_EQ(got[static_cast<std::size_t>(i)].get(), got[0].get());
+// The campaign owns one program and hands that pointer to every worker's
+// lane: a CaseRunner adds a holder of the campaign's program and its Soc
+// elaborates from the program's spec, never from a copy.
+TEST(GangProgram, CampaignLanesShareItsProgram) {
+    fuzz::CampaignConfig cfg;
+    cfg.spec_name = "triangle";
+    cfg.cycles = 40;
+    const fuzz::Campaign campaign(cfg);
+    const long holders = campaign.program().use_count();
+    {
+        const fuzz::CaseRunner a(campaign);
+        const fuzz::CaseRunner b(campaign);
+        EXPECT_EQ(campaign.program().use_count(), holders + 2);
     }
-    EXPECT_EQ(gang::Program::registry_misses(), misses0 + 1);
-    EXPECT_EQ(gang::Program::registry_hits(),
-              hits0 + static_cast<std::uint64_t>(kThreads) - 1);
-    EXPECT_EQ(gang::Program::registry_entries(), entries0 + 1);
+    EXPECT_EQ(campaign.program().use_count(), holders);
+
+    gang::Lane lane(campaign.program(), {});
+    EXPECT_EQ(lane.program().get(), campaign.program().get());
+    EXPECT_EQ(&lane.soc().spec(), &campaign.spec());
+    EXPECT_EQ(lane.checker(), nullptr);
+    EXPECT_EQ(lane.monitor(), nullptr);
 }
 
 }  // namespace

@@ -59,7 +59,6 @@ struct Options {
     std::string replay_path;
     std::string fixture;
     std::size_t jobs = 0;  ///< 0 = auto (hardware threads, ST_JOBS override)
-    std::size_t gang = 1;  ///< lockstep lanes per worker (1 = scalar engine)
     runner::Shard shard;   ///< deterministic 1-of-N slice of the campaign
     std::string checkpoint_path;
     std::uint64_t checkpoint_every = 0;  ///< 0 = default (1024)
@@ -128,10 +127,6 @@ void usage() {
         "  --jobs N           parallel campaign workers (default: hardware\n"
         "                     threads, ST_JOBS override); results are\n"
         "                     bit-identical at every N\n"
-        "  --gang W           run W cases per worker in lockstep on\n"
-        "                     persistent reusable lanes (default 1 =\n"
-        "                     scalar engine); composes with --jobs/--shard/\n"
-        "                     --checkpoint and keeps summaries bit-identical\n"
         "  --shard I/N        run only the 1-of-N deterministic slice I of\n"
         "                     the campaign's case indices; N completed shard\n"
         "                     checkpoints --merge to the byte-identical\n"
@@ -401,7 +396,6 @@ int run_campaign(const Options& opt) {
     }
 
     fuzz::CampaignControl ctl;
-    ctl.gang_width = opt.gang;
     ctl.shard = opt.shard;
     ctl.checkpoint_path = opt.checkpoint_path;
     ctl.checkpoint_every = opt.checkpoint_every;
@@ -511,9 +505,6 @@ int main(int argc, char** argv) {
             opt.fixture = next();
         } else if (arg == "--jobs") {
             opt.jobs = std::strtoull(next().c_str(), nullptr, 0);
-        } else if (arg == "--gang") {
-            opt.gang = std::strtoull(next().c_str(), nullptr, 0);
-            if (opt.gang == 0) opt.gang = 1;
         } else if (arg == "--shard") {
             const std::string text = next();
             const auto shard = runner::parse_shard(text);

@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "gang/delay_sweep.hpp"
 #include "lint/lint.hpp"
 #include "sim/random.hpp"
 #include "sva/spec_text.hpp"
@@ -44,7 +43,6 @@ struct Options {
     std::size_t sweep_seeds = 0;  ///< 0 = no sweep
     runner::Shard shard;          ///< 1-of-N slice of the sweep indices
     std::vector<std::size_t> jobs = {1, 2, 4};
-    std::vector<std::size_t> gangs = {1};  ///< lockstep widths for --sweep
     std::uint64_t cycles = 90;  ///< golden-trace horizon (local cycles)
     bool quiet = false;
 };
@@ -63,10 +61,6 @@ void usage() {
         "                  aggregates must be bit-identical\n"
         "  --jobs LIST     comma-separated worker counts for --sweep\n"
         "                  (default 1,2,4)\n"
-        "  --gang LIST     comma-separated lockstep lane widths for --sweep\n"
-        "                  (default 1 = scalar engine); the sweep repeats at\n"
-        "                  every (jobs, gang) pair and the aggregates must\n"
-        "                  be bit-identical across the whole grid\n"
         "  --shard I/N     run only the 1-of-N deterministic slice I of the\n"
         "                  sweep; shard results merge to the full sweep\n"
         "                  (verify::merge_sweep_shards)\n"
@@ -147,20 +141,19 @@ int main(int argc, char** argv) {
             opt.shard = *shard;
         } else if (arg == "--cycles") {
             opt.cycles = parse_num("--cycles", next());
-        } else if (arg == "--jobs" || arg == "--gang") {
-            auto& out = arg == "--jobs" ? opt.jobs : opt.gangs;
-            out.clear();
+        } else if (arg == "--jobs") {
+            opt.jobs.clear();
             std::string list = next();
             std::size_t pos = 0;
             while (pos <= list.size()) {
                 const auto comma = list.find(',', pos);
                 const auto part = list.substr(
                     pos, comma == std::string::npos ? comma : comma - pos);
-                out.push_back(parse_num(arg.c_str(), part.c_str()));
+                opt.jobs.push_back(parse_num("--jobs", part.c_str()));
                 if (comma == std::string::npos) break;
                 pos = comma + 1;
             }
-            if (out.empty()) {
+            if (opt.jobs.empty()) {
                 usage();
                 return 2;
             }
@@ -234,11 +227,14 @@ int main(int argc, char** argv) {
     }
 
     if (opt.sweep_seeds > 0) {
+        // Streaming sweep: each case elaborates the perturbed spec into the
+        // harness's per-worker capture, whose attached checker stops the run
+        // at the first mismatching event.
         const std::uint64_t horizon = opt.cycles + 40;
-        const auto run = [&](const sys::DelayConfig& cfg) {
-            sys::Soc soc(sys::apply(spec, cfg));
+        const auto run = [&spec, horizon](const sys::DelayConfig& cfg,
+                                          verify::RunCapture& cap) {
+            sys::Soc soc(sys::apply(spec, cfg), &cap);
             soc.run_cycles(horizon, sim::ms(2000));
-            return soc.traces();
         };
         std::vector<sys::DelayConfig> sweep;
         for (std::uint64_t s = 1; s <= opt.sweep_seeds; ++s) {
@@ -249,65 +245,42 @@ int main(int argc, char** argv) {
         // bit-identical at every worker count (the runner reduces in
         // perturbation order).
         verify::DeterminismHarness<sys::DelayConfig> harness(
-            run, sys::DelayConfig::nominal(spec), opt.cycles);
-        // Capture the golden run up front: the gang lanes' streaming
-        // checkers hold a reference to the harness's GoldenIndex.
-        harness.capture_nominal();
+            verify::DeterminismHarness<sys::DelayConfig>::LiveRunner(run),
+            sys::DelayConfig::nominal(spec), opt.cycles);
         bool first = true;
         verify::SweepResult reference;
-        bool grid_variance = false;
-        for (const std::size_t gang : opt.gangs) {
-            if (gang > 1) {
-                harness.set_gang(
-                    [&spec, &harness, horizon, gang] {
-                        return gang::make_delay_block_runner(
-                            spec, harness.golden_index(), horizon,
-                            sim::ms(2000), gang);
-                    },
-                    gang);
-            } else {
-                harness.set_gang({}, 1);
+        bool jobs_variance = false;
+        for (const std::size_t jobs : opt.jobs) {
+            const auto r = harness.sweep(sweep, jobs, opt.shard);
+            std::printf(
+                "%s: sweep(jobs=%zu%s): %llu run(s), %llu match, "
+                "%llu mismatch\n",
+                tag.c_str(), jobs,
+                opt.shard.is_full()
+                    ? ""
+                    : (", shard " + std::to_string(opt.shard.index) + "/" +
+                       std::to_string(opt.shard.count))
+                          .c_str(),
+                static_cast<unsigned long long>(r.runs),
+                static_cast<unsigned long long>(r.matches),
+                static_cast<unsigned long long>(r.mismatches));
+            for (const auto& e : r.examples) {
+                std::printf("%s:   mismatch: run %llu: %s\n", tag.c_str(),
+                            static_cast<unsigned long long>(e.index),
+                            e.locus.c_str());
             }
-            for (const std::size_t jobs : opt.jobs) {
-                const auto r = harness.sweep(sweep, jobs, opt.shard);
-                std::printf(
-                    "%s: sweep(jobs=%zu%s%s): %llu run(s), %llu match, "
-                    "%llu mismatch\n",
-                    tag.c_str(), jobs,
-                    gang > 1 ? (", gang " + std::to_string(gang)).c_str()
-                             : "",
-                    opt.shard.is_full()
-                        ? ""
-                        : (", shard " + std::to_string(opt.shard.index) +
-                           "/" + std::to_string(opt.shard.count))
-                              .c_str(),
-                    static_cast<unsigned long long>(r.runs),
-                    static_cast<unsigned long long>(r.matches),
-                    static_cast<unsigned long long>(r.mismatches));
-                for (const auto& e : r.examples) {
-                    std::printf("%s:   mismatch: run %llu: %s\n",
-                                tag.c_str(),
-                                static_cast<unsigned long long>(e.index),
-                                e.locus.c_str());
-                }
-                failed |= !r.all_match();
-                if (first) {
-                    reference = r;
-                    first = false;
-                } else if (!(r == reference)) {
-                    grid_variance = true;
-                }
+            failed |= !r.all_match();
+            if (first) {
+                reference = r;
+                first = false;
+            } else if (!(r == reference)) {
+                jobs_variance = true;
             }
         }
-        if (grid_variance) {
-            std::printf("%s: sweep: AGGREGATES VARY ACROSS THE "
-                        "--jobs/--gang GRID\n",
+        if (jobs_variance) {
+            std::printf("%s: sweep: AGGREGATES VARY ACROSS --jobs VALUES\n",
                         tag.c_str());
             failed = true;
-        } else if (opt.gangs.size() > 1) {
-            std::printf("%s: sweep: bit-identical aggregates at every "
-                        "(--jobs, --gang) pair\n",
-                        tag.c_str());
         } else if (opt.jobs.size() > 1) {
             std::printf("%s: sweep: bit-identical aggregates at every "
                         "--jobs value\n",
