@@ -83,10 +83,9 @@ void run_experiment() {
     // Each perturbation elaborates its own Soc; the st::runner engine fans
     // the sweep out across hardware threads with a jobs-invariant result.
     verify::DeterminismHarness<sys::DelayConfig> st_harness(
-        [&](const sys::DelayConfig& cfg) {
-            sys::Soc soc(sys::apply(spec, cfg));
+        [&](const sys::DelayConfig& cfg, verify::RunCapture& cap) {
+            sys::Soc soc(sys::apply(spec, cfg), &cap);
             soc.run_cycles(140, sim::ms(2));
-            return soc.traces();
         },
         sys::DelayConfig::nominal(spec), 100);
     const auto st_result = st_harness.sweep(sweep, jobs);
@@ -95,11 +94,11 @@ void run_experiment() {
     const std::size_t control_runs =
         bench::quick_mode() ? 100 : std::min<std::size_t>(sweep.size(), 2000);
     verify::DeterminismHarness<sys::DelayConfig> ctl_harness(
-        [&](const sys::DelayConfig& cfg) {
+        [&](const sys::DelayConfig& cfg, verify::RunCapture& cap) {
             baseline::BaselineSoc soc(sys::apply(spec, cfg),
-                                      baseline::BaselineSoc::Kind::kTwoFlop);
+                                      baseline::BaselineSoc::Kind::kTwoFlop,
+                                      &cap);
             soc.run_cycles(140, sim::ms(2));
-            return soc.traces();
         },
         sys::DelayConfig::nominal(spec), 100);
     const auto ctl_result = ctl_harness.sweep(

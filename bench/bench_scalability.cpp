@@ -87,10 +87,9 @@ void run_experiment() {
         [&](std::size_t i) {
             const auto& spec = rows[i].spec;
             verify::DeterminismHarness<sys::DelayConfig> harness(
-                [&spec](const sys::DelayConfig& cfg) {
-                    sys::Soc s(sys::apply(spec, cfg));
+                [&spec](const sys::DelayConfig& cfg, verify::RunCapture& cap) {
+                    sys::Soc s(sys::apply(spec, cfg), &cap);
                     s.run_cycles(140, sim::ms(20));
-                    return s.traces();
                 },
                 sys::DelayConfig::nominal(spec), 100);
             auto cfg = sys::DelayConfig::nominal(spec);

@@ -1,18 +1,19 @@
 // Streaming golden-trace verification: wall-clock of the online
 // StreamingChecker pipeline (rolling per-SB digests, cooperative early exit,
-// arena-backed capture) against the offline batch diff over the same runs.
+// arena-backed capture).
 //
 // Two workload mixes, matching how the pipeline is used:
 //  - deterministic-heavy: the paper's §5 sweep on the synchro-tokens
-//    triangle — every run matches, so streaming's win is the O(#SBs) verdict
-//    (no end-of-run scan) and the allocation-free capture;
+//    triangle — every run matches and ends with an O(#SBs) verdict over an
+//    allocation-free capture;
 //  - divergent-heavy: the two-flop-synchronizer baseline on a plesiochronous
 //    pair — most runs diverge within a few cycles, so the early exit skips
-//    almost the whole remaining simulation.
+//    almost the whole remaining simulation; timed against the same checker
+//    with early exit off.
 //
-// Every row re-checks the pipeline's contract — streaming and batch
-// SweepResults bit-identical (verdicts, counts, retained example loci) — and
-// the bench exits non-zero if it ever breaks. Numbers land in
+// The divergent mix re-checks the early-exit contract — early-exit and
+// full-run SweepResults bit-identical (verdicts, counts, retained example
+// loci) — and the bench exits non-zero if it ever breaks. Numbers land in
 // BENCH_verify.json (docs/PERF.md).
 
 #include <benchmark/benchmark.h>
@@ -25,8 +26,8 @@
 #include "baselines/baseline_soc.hpp"
 #include "bench_util.hpp"
 #include "system/delay_config.hpp"
+#include "system/soc.hpp"
 #include "system/testbenches.hpp"
-#include "system/warm_runner.hpp"
 #include "verify/determinism.hpp"
 
 namespace {
@@ -66,14 +67,22 @@ void require_identical(const verify::SweepResult& a,
                        const verify::SweepResult& b, const char* what) {
     if (a == b) return;
     std::fprintf(stderr,
-                 "bench_verify: %s sweep diverged from the streaming result "
-                 "— the streaming/batch parity contract is broken\n",
+                 "bench_verify: %s sweep diverged from the early-exit result "
+                 "— early exit changed a verdict\n",
                  what);
     std::exit(1);
 }
 
 double rate(std::size_t runs, double secs) {
     return static_cast<double>(runs) / (secs > 0 ? secs : 1e-9);
+}
+
+/// The §5 sweep's runner: elaborate the perturbed triangle, run 100 cycles.
+Harness::LiveRunner triangle_runner(const sys::SocSpec& spec) {
+    return [&spec](const sys::DelayConfig& cfg, verify::RunCapture& cap) {
+        sys::Soc soc(sys::apply(spec, cfg), &cap);
+        soc.run_cycles(100, sim::ms(1));
+    };
 }
 
 void run_experiment() {
@@ -84,38 +93,22 @@ void run_experiment() {
     bench::banner("streaming verification — deterministic-heavy (triangle)");
     {
         const auto spec = sys::make_named_spec("triangle");
-        const sys::WarmRunner runner(spec, 100, sim::ms(1));
-        const auto live = [&runner](const sys::DelayConfig& cfg,
-                                    verify::RunCapture& cap) {
-            runner.run(cfg, cap);
-        };
         const auto ps = grid(spec, runs);
+        Harness stream{triangle_runner(spec), sys::DelayConfig::nominal(spec),
+                       100};
 
-        Harness stream{Harness::LiveRunner(live),
-                       sys::DelayConfig::nominal(spec), 100};
-        Harness batch{Harness::LiveRunner(live),
-                      sys::DelayConfig::nominal(spec), 100};
-        batch.set_streaming(false);
-
-        verify::SweepResult rs, rb;
+        verify::SweepResult rs;
         const double ts = timed_sweep(stream, ps, rs);
-        const double tb = timed_sweep(batch, ps, rb);
-        require_identical(rs, rb, "deterministic-heavy batch");
         if (!rs.all_match()) {
             std::fprintf(stderr,
                          "bench_verify: triangle sweep found mismatches — "
                          "determinism regression\n");
             std::exit(1);
         }
-        std::printf("%10s | %9s | %9s | %s\n", "mode", "seconds", "runs/s",
-                    "result vs streaming");
-        std::printf("%10s | %9.3f | %9.1f | (baseline)\n", "streaming", ts,
+        std::printf("%10s | %9s | %9s\n", "mode", "seconds", "runs/s");
+        std::printf("%10s | %9.3f | %9.1f\n", "streaming", ts,
                     rate(ps.size(), ts));
-        std::printf("%10s | %9.3f | %9.1f | bit-identical\n", "batch", tb,
-                    rate(ps.size(), tb));
         report.add("verify_stream_runs_per_sec", rate(ps.size(), ts),
-                   "runs/s", 1);
-        report.add("verify_batch_runs_per_sec", rate(ps.size(), tb),
                    "runs/s", 1);
     }
 
@@ -137,41 +130,31 @@ void run_experiment() {
         const auto nominal = sys::DelayConfig::nominal(spec);
 
         Harness early{Harness::LiveRunner(live), nominal, 100};
-        Harness no_early{Harness::LiveRunner(live), nominal, 100};
-        no_early.set_early_exit(false);
-        Harness batch{Harness::LiveRunner(live), nominal, 100};
-        batch.set_streaming(false);
+        Harness full{Harness::LiveRunner(live), nominal, 100};
+        full.set_early_exit(false);
 
-        verify::SweepResult re, rn, rb;
+        verify::SweepResult re, rf;
         const double te = timed_sweep(early, ps, re);
-        const double tn = timed_sweep(no_early, ps, rn);
-        const double tb = timed_sweep(batch, ps, rb);
-        require_identical(re, rn, "no-early-exit streaming");
-        require_identical(re, rb, "divergent-heavy batch");
+        const double tf = timed_sweep(full, ps, rf);
+        require_identical(re, rf, "full-run");
         if (re.mismatches == 0) {
             std::fprintf(stderr,
                          "bench_verify: divergent-heavy mix produced no "
                          "mismatches — the workload is mislabelled\n");
             std::exit(1);
         }
-        const double speedup = tb / (te > 0 ? te : 1e-9);
+        const double speedup = tf / (te > 0 ? te : 1e-9);
         std::printf("divergent runs: %llu / %llu\n",
                     static_cast<unsigned long long>(re.mismatches),
                     static_cast<unsigned long long>(re.runs));
-        std::printf("%12s | %9s | %9s | %8s | %s\n", "mode", "seconds",
-                    "runs/s", "speedup", "result vs early-exit");
-        std::printf("%12s | %9.3f | %9.1f | %7.2fx | (baseline)\n",
-                    "early-exit", te, rate(ps.size(), te), 1.0);
-        std::printf("%12s | %9.3f | %9.1f | %7.2fx | bit-identical\n",
-                    "stream-full", tn, rate(ps.size(), tn),
-                    te / (tn > 0 ? tn : 1e-9));
-        std::printf("%12s | %9.3f | %9.1f | %7.2fx | bit-identical\n",
-                    "batch", tb, rate(ps.size(), tb),
-                    te / (tb > 0 ? tb : 1e-9));
-        std::printf("early-exit speedup vs batch: %.2fx\n", speedup);
+        std::printf("%12s | %9s | %9s | %s\n", "mode", "seconds", "runs/s",
+                    "result vs early-exit");
+        std::printf("%12s | %9.3f | %9.1f | (baseline)\n", "early-exit", te,
+                    rate(ps.size(), te));
+        std::printf("%12s | %9.3f | %9.1f | bit-identical\n", "full-run", tf,
+                    rate(ps.size(), tf));
+        std::printf("early-exit speedup vs full run: %.2fx\n", speedup);
         report.add("verify_stream_div_runs_per_sec", rate(ps.size(), te),
-                   "runs/s", 1);
-        report.add("verify_batch_div_runs_per_sec", rate(ps.size(), tb),
                    "runs/s", 1);
         report.add("verify_early_exit_speedup", speedup, "x", 1);
     }
@@ -181,12 +164,7 @@ void run_experiment() {
 
 void BM_SweepTriangle(benchmark::State& state) {
     const auto spec = sys::make_named_spec("triangle");
-    const sys::WarmRunner runner(spec, 100, sim::ms(1));
-    Harness h{Harness::LiveRunner(
-                  [&runner](const sys::DelayConfig& cfg,
-                            verify::RunCapture& cap) { runner.run(cfg, cap); }),
-              sys::DelayConfig::nominal(spec), 100};
-    h.set_streaming(state.range(0) != 0);
+    Harness h{triangle_runner(spec), sys::DelayConfig::nominal(spec), 100};
     const auto ps = grid(spec, 8);
     h.capture_nominal();
     for (auto _ : state) {
@@ -194,7 +172,7 @@ void BM_SweepTriangle(benchmark::State& state) {
         benchmark::DoNotOptimize(r.runs);
     }
 }
-BENCHMARK(BM_SweepTriangle)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SweepTriangle)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

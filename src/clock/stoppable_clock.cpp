@@ -78,7 +78,7 @@ void StoppableClock::edge() {
     });
 
     // Monitors observe the fully settled post-edge state.
-    if (!edge_observers_.empty() && observe_edges_) {
+    if (!edge_observers_.empty()) {
         sched_.schedule_at(t, sim::Priority::kMonitor,
                            sim::EventTag{this, "clock.monitor"},
                            [this, cycle, t] {

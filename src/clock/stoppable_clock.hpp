@@ -88,16 +88,6 @@ class StoppableClock : public snap::Snapshottable {
         edge_observers_.push_back(std::move(fn));
     }
 
-    /// Gate for the per-edge observer event. While disabled the clock
-    /// schedules no monitor-priority observer event at all, making the
-    /// event stream identical to a clock with no observers registered.
-    /// Execution-mode toggle, not model state: deliberately not
-    /// serialized. fuzz::CaseRunner gates it while it re-simulates a warm-up
-    /// prefix on a lane whose monitor is permanently attached, so the prefix
-    /// has the same event count as the forked prefix image, which is
-    /// simulated with no monitor.
-    void set_edge_observers_enabled(bool on) { observe_edges_ = on; }
-
     sim::Scheduler& scheduler() const { return sched_; }
 
     /// Snapshot: full register state plus the fire slot of the pending
@@ -118,7 +108,6 @@ class StoppableClock : public snap::Snapshottable {
     std::function<bool()> enable_fn_;
     std::function<sim::Time()> restart_fault_;
     std::vector<std::function<void(std::uint64_t, sim::Time)>> edge_observers_;
-    bool observe_edges_ = true;
 
     bool started_ = false;
     bool halted_ = false;

@@ -66,30 +66,25 @@ Campaign::Campaign(CampaignConfig cfg, sys::SocSpec spec)
             throw std::invalid_argument(
                 "Campaign: warmup_cycles must be < cycles");
         }
-        if (cfg_.warmup_fork) {
-            // Shared prefix: nominal delays, no faults, snapshotted once at
-            // a slot boundary. The golden run above proved the nominal spec
-            // reaches cfg_.cycles, so this shorter leg cannot fail.
-            sys::Soc warm(prog_->spec_ptr());
-            run_bounded(warm, cfg_.warmup_cycles, deadline, cfg_.max_events,
-                        budget_expired);
-            warm.settle();
-            prefix_ = warm.save_snapshot();
-            prefix_plan_ = snap::RewindPlan(prefix_.bytes());
-        }
+        // Shared prefix: nominal delays, no faults, snapshotted once at a
+        // slot boundary. The golden run above proved the nominal spec
+        // reaches cfg_.cycles, so this shorter leg cannot fail.
+        sys::Soc warm(prog_->spec_ptr());
+        run_bounded(warm, cfg_.warmup_cycles, deadline, cfg_.max_events,
+                    budget_expired);
+        warm.settle();
+        prefix_ = warm.save_snapshot();
+        prefix_plan_ = snap::RewindPlan(prefix_.bytes());
     }
 }
 
 CaseRunner::CaseRunner(const Campaign& campaign)
     : campaign_(&campaign),
-      nominal_(sys::DelayConfig::nominal(campaign.spec())),
       // One checker for the worker's lifetime: the per-SB slot table and
       // digest state reset per run, but the golden binding and the
       // attachment are paid once. Early exit is decided per case in run().
       lane_(campaign.program(),
-            {.golden = campaign.config().streaming ? &campaign.golden_index()
-                                                   : nullptr,
-             .monitor = true}) {}
+            {.golden = &campaign.golden_index(), .monitor = true}) {}
 
 RunReport CaseRunner::run(const FuzzCase& c) {
     const Campaign& campaign = *campaign_;
@@ -99,25 +94,21 @@ RunReport CaseRunner::run(const FuzzCase& c) {
         cfg.cycles);
 
     verify::StreamingChecker* checker = lane_.checker();
-    if (checker != nullptr) {
-        // Early exit is sound only where divergence is the final word: a
-        // faulted run must complete, because a later deadlock or invariant
-        // violation outranks the divergence (Outcome precedence). Checked
-        // per case, not per config — a replayed fault counterexample under
-        // a fault-free campaign config still carries faults.
-        checker->set_early_exit(cfg.classes.empty() && c.faults.empty());
-    }
+    // Early exit is sound only where divergence is the final word: a faulted
+    // run must complete, because a later deadlock or invariant violation
+    // outranks the divergence (Outcome precedence). Checked per case, not
+    // per config — a replayed fault counterexample under a fault-free
+    // campaign config still carries faults.
+    checker->set_early_exit(cfg.classes.empty() && c.faults.empty());
 
     // The rewind stands in for elaborating a fresh Soc (restore-
-    // equivalence): to the pristine image, or to the nominal warm-up
-    // prefix — forked from the shared snapshot or re-simulated, which land
-    // in the identical state. In streaming mode the checker stays
-    // subscribed, so even a restored prefix is checked as it is replayed.
-    if (cfg.warmup_cycles > 0 && cfg.warmup_fork) {
+    // equivalence): to the pristine image, or to the shared warm-up prefix
+    // snapshot. The checker stays subscribed, so even a restored prefix is
+    // checked as it is replayed.
+    if (cfg.warmup_cycles > 0) {
         lane_.rewind(campaign.warmup_prefix(), campaign.warmup_prefix_plan());
     } else {
         lane_.rewind();
-        if (cfg.warmup_cycles > 0) warm_up(deadline);
     }
     sys::Soc& soc = lane_.soc();
     const Injector injector(soc, c.faults);
@@ -129,30 +120,6 @@ RunReport CaseRunner::run(const FuzzCase& c) {
     return classify_case(soc, injector.fired(), goal, budget_expired,
                          lane_.monitor()->violations(), nullptr, checker,
                          campaign.golden_index(), lane_.capture());
-}
-
-void CaseRunner::warm_up(sim::Time deadline) {
-    const CampaignConfig& cfg = campaign_->config();
-    sys::Soc& soc = lane_.soc();
-    // Ring hop delays are not image state, so the previous case's delta
-    // survives the rewind: restore the nominal point first.
-    sys::apply_live(soc, nominal_);
-    // The forked prefix image is simulated with no monitor attached, so it
-    // holds no per-edge observer events. The lane's monitor is permanent;
-    // gate its observer events instead so the re-simulated prefix has the
-    // same event count and sequence as the forked one.
-    const auto observe = [&soc](bool on) {
-        for (std::size_t s = 0; s < soc.num_sbs(); ++s) {
-            soc.wrapper(s).clock().set_edge_observers_enabled(on);
-        }
-    };
-    observe(false);
-    bool budget_expired = false;
-    run_bounded(soc, cfg.warmup_cycles, deadline, cfg.max_events,
-                budget_expired);
-    soc.settle();
-    observe(true);
-    lane_.monitor()->reset();
 }
 
 RunReport Campaign::run_case(const FuzzCase& c) const {

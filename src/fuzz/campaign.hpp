@@ -48,7 +48,7 @@ struct RunReport {
     std::string detail;               ///< first diagnostic locus, if any
     /// Structured trace-mismatch locus (kind != kNone only for
     /// kTraceDivergent): machine-readable counterpart of `detail`, printed
-    /// by the shrink reports. Identical between streaming and batch modes.
+    /// by the shrink reports.
     verify::MismatchLocus locus;
 
     bool operator==(const RunReport&) const = default;
@@ -66,27 +66,11 @@ struct CampaignConfig {
     std::vector<FaultClass> classes;
     std::size_t max_faults = 2;  ///< faults per random case (1..max)
     /// Shared warm-up prefix (local cycles, < `cycles`; 0 = off): every case
-    /// runs the first `warmup_cycles` at nominal delays with no faults, then
-    /// the case's delta is applied live (sys::apply_live + clamped fault
-    /// times) and the run continues to `cycles`.
+    /// forks from one snapshot of the first `warmup_cycles` at nominal
+    /// delays with no faults (taken once at construction), then the case's
+    /// delta is applied live (sys::apply_live + clamped fault times) and
+    /// the run continues to `cycles`.
     std::uint64_t warmup_cycles = 0;
-    /// With warm-up on: fork each case from one snapshot of the shared
-    /// prefix (taken once at construction) instead of re-simulating it.
-    /// Restore-equivalence makes the two paths bit-identical; the flag
-    /// exists so tests and benches can run the non-forked baseline.
-    bool warmup_fork = true;
-    /// Streaming verification (default): each run's events are checked
-    /// online against the golden index by a verify::StreamingChecker, so a
-    /// deterministic run finishes with an O(#SBs) verdict and — in
-    /// fault-free campaigns, where a trace divergence is classification-
-    /// final — a divergent run stops at the first mismatching event. With
-    /// fault classes enabled the online check still replaces the end-of-run
-    /// scan but the run always completes, because a later deadlock or
-    /// invariant violation outranks the divergence (Outcome precedence).
-    /// `false` (st_fuzz --no-streaming) compares offline via
-    /// verify::diff_capture instead: bit-identical reports and summaries,
-    /// batch timing — the differential-testing and checker-debugging path.
-    bool streaming = true;
 };
 
 struct CampaignSummary {
@@ -171,11 +155,12 @@ struct CampaignControl {
 class Campaign;
 
 /// The one case engine: a worker's gang::Lane — a Soc elaborated once from
-/// the campaign's program, with its trace capture, (in streaming mode) its
-/// golden checker, and its invariant monitor — rewound for every case the
-/// worker runs. Each case rewinds the lane to the campaign's rewind image
-/// (the pristine image, or the warm-up prefix), binds its fault injector,
-/// applies its delays with sys::apply_live, runs bounded and classifies.
+/// the campaign's program, with its trace capture, its golden checker, and
+/// its invariant monitor — rewound for every case the worker runs. Each
+/// case rewinds the lane to the campaign's rewind image (the pristine
+/// image, or the warm-up prefix), binds its fault injector, applies its
+/// delays with sys::apply_live, runs bounded and classifies; the checker
+/// observes every event online and gives the trace verdict.
 /// Restore-equivalence makes the report bit-identical to elaborating the
 /// perturbed spec afresh (tests/test_gang.cpp). Construct on the thread
 /// that will call run() (the capture pins that thread's arena).
@@ -194,12 +179,7 @@ class CaseRunner {
     RunReport run(const FuzzCase& c);
 
   private:
-    /// Re-simulate the nominal warm-up prefix on the freshly rewound lane
-    /// (the non-fork warm-up).
-    void warm_up(sim::Time deadline);
-
     const Campaign* campaign_;
-    sys::DelayConfig nominal_;
     gang::Lane lane_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 
 namespace st::fuzz {
 
@@ -87,6 +88,11 @@ RunReport classify_case(sys::Soc& soc, std::uint64_t faults_fired, bool goal,
                         verify::StreamingChecker* checker,
                         const verify::GoldenIndex& golden,
                         const verify::RunCapture& cap) {
+    if (checker == nullptr || &checker->golden() != &golden ||
+        cap.checker() != checker) {
+        throw std::invalid_argument(
+            "classify_case: needs a checker over `golden` attached to `cap`");
+    }
     const bool stopped_early = soc.scheduler().stop_requested();
 
     RunReport r;
@@ -110,7 +116,7 @@ RunReport classify_case(sys::Soc& soc, std::uint64_t faults_fired, bool goal,
         }
         return r;
     }
-    if (stopped_early && checker != nullptr && checker->diverged()) {
+    if (stopped_early && checker->diverged()) {
         // The checker classified the run at its first mismatching event and
         // stopped the scheduler; the remaining cycles could only have
         // changed the verdict through an invariant violation (checked
@@ -133,11 +139,8 @@ RunReport classify_case(sys::Soc& soc, std::uint64_t faults_fired, bool goal,
         }
         return r;
     }
-    // Verdict: online (O(#SBs) for a deterministic run) or offline over the
-    // arrival-ordered capture — the two are bit-identical by construction.
-    const verify::TraceDiff diff = checker != nullptr
-                                       ? checker->finish()
-                                       : verify::diff_capture(golden, cap);
+    // The online verdict: O(#SBs) for a deterministic run.
+    const verify::TraceDiff diff = checker->finish();
     if (!diff.identical) {
         r.outcome = Outcome::kTraceDivergent;
         r.detail = diff.first_mismatch;

@@ -48,6 +48,10 @@ std::uint64_t total_protocol_errors(sys::Soc& soc);
 /// `violations_tail` optionally continues `violations` (a monitor log split
 /// across two monitors reads as their concatenation, so "any violation" and
 /// "first violation" read across both in order). CaseRunner passes nullptr.
+///
+/// The trace verdict is `checker`'s: it must be built over `golden` and
+/// attached to `cap`, the run's capture. A null or mismatched checker throws
+/// std::invalid_argument.
 RunReport classify_case(sys::Soc& soc, std::uint64_t faults_fired, bool goal,
                         bool budget_expired,
                         const std::vector<std::string>& violations,

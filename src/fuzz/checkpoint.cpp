@@ -1,10 +1,29 @@
 #include "fuzz/checkpoint.hpp"
 
+#include <string>
 #include <utility>
 
 namespace st::fuzz {
 
 namespace {
+
+/// Read one enum byte, rejecting any value at or past `count`: a byte this
+/// build defines no enumerator for.
+template <typename E>
+E read_enum(snap::StateReader& r, std::size_t count, const char* what) {
+    const std::uint8_t v = r.u8();
+    if (v >= count) {
+        throw snap::SnapshotError("campaign progress image has unknown " +
+                                  std::string(what) + " " +
+                                  std::to_string(v));
+    }
+    return static_cast<E>(v);
+}
+
+constexpr std::size_t kNumDirs =
+    static_cast<std::size_t>(verify::IoEvent::Dir::kOut) + 1;
+constexpr std::size_t kNumLocusKinds =
+    static_cast<std::size_t>(verify::MismatchLocus::Kind::kMissingSb) + 1;
 
 void write_pct_vector(snap::StateWriter& w, const std::vector<unsigned>& v) {
     w.u64(v.size());
@@ -12,8 +31,8 @@ void write_pct_vector(snap::StateWriter& w, const std::vector<unsigned>& v) {
 }
 
 std::vector<unsigned> read_pct_vector(snap::StateReader& r) {
-    std::vector<unsigned> v(r.u64());
-    for (auto& pct : v) pct = r.u32();
+    std::vector<unsigned> v;
+    for (std::uint64_t n = r.u64(); n > 0; --n) v.push_back(r.u32());
     return v;
 }
 
@@ -27,7 +46,7 @@ void write_event(snap::StateWriter& w, const verify::IoEvent& e) {
 verify::IoEvent read_event(snap::StateReader& r) {
     verify::IoEvent e;
     e.cycle = r.u64();
-    e.dir = static_cast<verify::IoEvent::Dir>(r.u8());
+    e.dir = read_enum<verify::IoEvent::Dir>(r, kNumDirs, "event direction");
     e.port = r.u32();
     e.word = r.u64();
     return e;
@@ -59,13 +78,14 @@ std::uint64_t read_case(snap::StateReader& r, FuzzCase& c) {
     c.delays.ring_ab_pct = read_pct_vector(r);
     c.delays.ring_ba_pct = read_pct_vector(r);
     c.delays.clock_pct = read_pct_vector(r);
-    c.faults.resize(r.u64());
-    for (Fault& f : c.faults) {
-        f.cls = static_cast<FaultClass>(r.u8());
+    for (std::uint64_t n = r.u64(); n > 0; --n) {
+        Fault f;
+        f.cls = read_enum<FaultClass>(r, kNumFaultClasses, "fault class");
         f.unit = static_cast<std::size_t>(r.u64());
         f.side = static_cast<std::size_t>(r.u64());
         f.nth = r.u64();
         f.value = r.u64();
+        c.faults.push_back(f);
     }
     r.leave();
     return index;
@@ -95,14 +115,15 @@ void write_report(snap::StateWriter& w, const RunReport& rep) {
 RunReport read_report(snap::StateReader& r) {
     RunReport rep;
     r.enter("report");
-    rep.outcome = static_cast<Outcome>(r.u8());
+    rep.outcome = read_enum<Outcome>(r, kNumOutcomes, "outcome");
     rep.goal_met = r.b();
     rep.faults_fired = r.u64();
     rep.events = r.u64();
     rep.protocol_errors = r.u64();
     rep.detail = r.str();
     verify::MismatchLocus& l = rep.locus;
-    l.kind = static_cast<verify::MismatchLocus::Kind>(r.u8());
+    l.kind = read_enum<verify::MismatchLocus::Kind>(r, kNumLocusKinds,
+                                                     "mismatch locus kind");
     l.sb = r.str();
     l.index = r.u64();
     l.cycle = r.u64();
@@ -134,8 +155,6 @@ CampaignKey make_campaign_key(const CampaignConfig& cfg, std::uint64_t seed,
     k.classes = cfg.classes;
     k.max_faults = cfg.max_faults;
     k.warmup_cycles = cfg.warmup_cycles;
-    k.warmup_fork = cfg.warmup_fork;
-    k.streaming = cfg.streaming;
     k.shard = shard;
     return k;
 }
@@ -156,8 +175,9 @@ snap::Snapshot encode_progress(const CampaignProgress& p) {
     }
     w.u64(p.key.max_faults);
     w.u64(p.key.warmup_cycles);
-    w.b(p.key.warmup_fork);
-    w.b(p.key.streaming);
+    // The retired warm-up-fork and streaming mode bytes: always on.
+    w.b(true);
+    w.b(true);
     w.u64(p.key.shard.index);
     w.u64(p.key.shard.count);
     w.end();
@@ -199,12 +219,24 @@ CampaignProgress decode_progress(const snap::Snapshot& snap) {
     p.key.max_events = r.u64();
     p.key.seed = r.u64();
     p.key.n_runs = r.u64();
-    p.key.classes.resize(r.u64());
-    for (auto& cls : p.key.classes) cls = static_cast<FaultClass>(r.u8());
+    for (std::uint64_t n = r.u64(); n > 0; --n) {
+        p.key.classes.push_back(
+            read_enum<FaultClass>(r, kNumFaultClasses, "fault class"));
+    }
     p.key.max_faults = r.u64();
     p.key.warmup_cycles = r.u64();
-    p.key.warmup_fork = r.b();
-    p.key.streaming = r.b();
+    // Images from builds that still had the re-simulated warm-up and the
+    // batch verdict record those modes as 0 here; this build runs neither.
+    if (!r.b()) {
+        throw snap::SnapshotError(
+            "campaign key has the warm-up fork off: the re-simulated "
+            "warm-up mode it names was removed");
+    }
+    if (!r.b()) {
+        throw snap::SnapshotError(
+            "campaign key has streaming off: the batch verdict mode it "
+            "names was removed");
+    }
     p.key.shard.index = r.u64();
     p.key.shard.count = r.u64();
     r.leave();
@@ -223,7 +255,6 @@ CampaignProgress decode_progress(const snap::Snapshot& snap) {
     p.summary.failures_dropped = r.u64();
     const std::uint64_t n_failures = r.u64();
     r.leave();
-    p.summary.failures.reserve(n_failures);
     for (std::uint64_t i = 0; i < n_failures; ++i) {
         r.enter("failure");
         CampaignSummary::Failure f;

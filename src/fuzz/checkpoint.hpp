@@ -24,8 +24,6 @@ struct CampaignKey {
     std::vector<FaultClass> classes;
     std::uint64_t max_faults = 0;
     std::uint64_t warmup_cycles = 0;
-    bool warmup_fork = true;
-    bool streaming = true;
     runner::Shard shard;
 
     bool operator==(const CampaignKey&) const = default;
@@ -54,7 +52,10 @@ struct CampaignProgress {
 /// "stcampaign" group, currently version 1). decode rejects images whose
 /// chunk versions are newer than this build understands (snap::StateReader
 /// version discipline) and throws snap::SnapshotError with a clear message
-/// on any structural mismatch.
+/// on any structural mismatch, on an enum byte this build defines no value
+/// for, and on a key from a campaign mode this build no longer runs. No
+/// container is sized from a count read off the image, so a corrupt count
+/// fails at the end of its chunk instead of allocating.
 snap::Snapshot encode_progress(const CampaignProgress& p);
 CampaignProgress decode_progress(const snap::Snapshot& snap);
 

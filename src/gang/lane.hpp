@@ -41,7 +41,8 @@ class Lane {
   public:
     struct Options {
         /// Attach a verify::StreamingChecker over this golden index
-        /// (nullptr: no online checking — the batch/offline mode).
+        /// (nullptr: no checker, for probes that only time the rewind and
+        /// the simulation).
         const verify::GoldenIndex* golden = nullptr;
         /// Attach a sys::InvariantMonitor (fuzz::CaseRunner's lanes do).
         bool monitor = false;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -80,55 +79,33 @@ inline SweepResult merge_sweep_shards(const std::vector<SweepResult>& shards) {
 /// synchro-tokens SoC (expected: all match) and the bypassed/synchronizer
 /// baselines (expected: mismatches) with the same code.
 ///
-/// Two runner shapes are supported:
-///  - the legacy batch `Runner` returns a finished TraceSet; every check is
-///    a full-run diff_traces (name-order first mismatch);
-///  - a `LiveRunner` drives a simulation *through a RunCapture* the harness
-///    provides (elaborate `sys::Soc(spec, &cap)` and run). This is the
-///    streaming pipeline: by default an attached StreamingChecker classifies
-///    each run online, requests a cooperative scheduler stop at the first
-///    mismatching event, and delivers an O(#SBs) verdict for deterministic
-///    runs. `set_streaming(false)` keeps the capture but compares offline
-///    via diff_capture — bit-identical verdicts and loci, batch timing — for
-///    differential testing and for debugging a suspected checker bug
-///    (docs/TESTING.md).
+/// The runner drives one simulation *through a RunCapture* the harness
+/// provides (elaborate `sys::Soc(spec, &cap)` and run). An attached
+/// StreamingChecker classifies each run online, requests a cooperative
+/// scheduler stop at the first mismatching event, and delivers an O(#SBs)
+/// verdict for deterministic runs.
 template <typename Perturbation>
 class DeterminismHarness {
   public:
-    using Runner = std::function<TraceSet(const Perturbation&)>;
     using LiveRunner =
         std::function<void(const Perturbation&, RunCapture&)>;
 
-    DeterminismHarness(Runner runner, Perturbation nominal,
+    DeterminismHarness(LiveRunner runner, Perturbation nominal,
                        std::uint64_t n_cycles)
         : runner_(std::move(runner)),
           nominal_cfg_(std::move(nominal)),
           n_cycles_(n_cycles) {}
 
-    DeterminismHarness(LiveRunner runner, Perturbation nominal,
-                       std::uint64_t n_cycles)
-        : live_(std::move(runner)),
-          nominal_cfg_(std::move(nominal)),
-          n_cycles_(n_cycles) {}
-
-    /// Streaming (online check + early exit) vs batch (offline
-    /// diff_capture). Live-runner harnesses only; defaults to streaming.
-    void set_streaming(bool on) { streaming_ = on; }
-    bool streaming() const { return streaming_; }
-
-    /// Disable the cooperative stop while keeping the online check (used by
-    /// benches to separate the two effects). No result changes either way.
+    /// Disable the cooperative stop while keeping the online check: every
+    /// run simulates to its end. No result changes either way, which is
+    /// what the tests and benches that turn it off compare.
     void set_early_exit(bool on) { early_exit_ = on; }
 
     /// Run the nominal configuration and capture the golden traces.
     void capture_nominal() {
-        if (live_) {
-            RunCapture cap;
-            live_(nominal_cfg_, cap);
-            golden_ = truncated(cap.traces(), n_cycles_);
-        } else {
-            golden_ = truncated(runner_(nominal_cfg_), n_cycles_);
-        }
+        RunCapture cap;
+        runner_(nominal_cfg_, cap);
+        golden_ = truncated(cap.traces(), n_cycles_);
         golden_index_ = GoldenIndex(golden_, n_cycles_);
         golden_captured_ = true;
     }
@@ -154,11 +131,11 @@ class DeterminismHarness {
     /// simulation, which must therefore be safe to invoke concurrently
     /// (true of the standard "elaborate a fresh Soc from a shared spec"
     /// runners). Each engine worker thread gets one reusable context — a
-    /// RunCapture over its own thread-local arena plus, in streaming mode,
-    /// an attached StreamingChecker — recycled across every perturbation it
-    /// runs. Results reduce in perturbation order, so the SweepResult —
-    /// counts and retained examples — is bit-identical for every `jobs`
-    /// value, every shard split, and between streaming and batch modes.
+    /// RunCapture over its own thread-local arena plus an attached
+    /// StreamingChecker — recycled across every perturbation it runs.
+    /// Results reduce in perturbation order, so the SweepResult — counts
+    /// and retained examples — is bit-identical for every `jobs` value,
+    /// every shard split, and with early exit on or off.
     SweepResult sweep(const std::vector<Perturbation>& perturbations,
                       std::size_t jobs = 1,
                       st::runner::Shard shard = {}) {
@@ -190,32 +167,25 @@ class DeterminismHarness {
 
   private:
     /// Per-worker reusable state: the capture (pinning the worker's trace
-    /// arena) and, for streaming live runners, a checker attached once and
-    /// reset per run by RunCapture::begin_run.
+    /// arena) and a checker attached once and reset per run by
+    /// RunCapture::begin_run.
     struct SweepContext {
-        explicit SweepContext(const DeterminismHarness& h) {
-            if (h.live_ && h.streaming_) {
-                checker = std::make_unique<StreamingChecker>(
-                    h.golden_index_,
-                    StreamingOptions{.early_exit = h.early_exit_});
-                checker->attach(cap);
-            }
+        explicit SweepContext(const DeterminismHarness& h)
+            : checker(h.golden_index_,
+                      StreamingOptions{.early_exit = h.early_exit_}) {
+            checker.attach(cap);
         }
         SweepContext(const SweepContext&) = delete;
         SweepContext& operator=(const SweepContext&) = delete;
 
         RunCapture cap;
-        std::unique_ptr<StreamingChecker> checker;
+        StreamingChecker checker;
     };
 
     TraceDiff run_one(const Perturbation& p, SweepContext& ctx) const {
-        if (!live_) {
-            return diff_traces(golden_, truncated(runner_(p), n_cycles_));
-        }
         ctx.cap.begin_run();
-        live_(p, ctx.cap);
-        if (ctx.checker) return ctx.checker->finish();
-        return diff_capture(golden_index_, ctx.cap);
+        runner_(p, ctx.cap);
+        return ctx.checker.finish();
     }
 
     TraceDiff run_one(const Perturbation& p) const {
@@ -223,11 +193,9 @@ class DeterminismHarness {
         return run_one(p, ctx);
     }
 
-    Runner runner_;
-    LiveRunner live_;
+    LiveRunner runner_;
     Perturbation nominal_cfg_;
     std::uint64_t n_cycles_;
-    bool streaming_ = true;
     bool early_exit_ = true;
     TraceSet golden_;
     GoldenIndex golden_index_;

@@ -79,8 +79,8 @@ using TraceSet = std::map<std::string, IoTrace>;
 
 /// Structured first-mismatch locus: machine-readable counterpart of
 /// TraceDiff::first_mismatch. The streaming checker produces it for free (it
-/// is sitting on both events when the compare fails); the batch differs fill
-/// it from the same data they already format into the human string.
+/// is sitting on both events when the compare fails); diff_traces fills it
+/// from the same data it already formats into the human string.
 struct MismatchLocus {
     enum class Kind : std::uint8_t {
         kNone = 0,       ///< no mismatch (diff identical)
@@ -111,9 +111,8 @@ struct TraceDiff {
     bool operator==(const TraceDiff&) const = default;
 };
 
-// Shared locus formatters: diff_traces, diff_capture, and the streaming
-// checker must emit byte-identical first_mismatch strings for the same
-// mismatch, so the strings are built in exactly one place.
+// Shared locus formatters: every first_mismatch string diff_traces and the
+// streaming checker emit is built here, in exactly one place.
 std::string format_value_mismatch(const std::string& sb, std::uint64_t index,
                                   const IoEvent& expected,
                                   const IoEvent& actual);
@@ -127,8 +126,9 @@ std::string format_extra_event(const std::string& sb, std::uint64_t index,
 /// Compare two trace sets event-by-event. Scans SBs in name order (TraceSet
 /// iteration order) and reports the first mismatch it encounters in that
 /// order — NOT necessarily the first mismatch in simulated-time order; the
-/// streaming pipeline's diff_capture (verify/streaming.hpp) reports the
-/// arrival-order locus instead.
+/// streaming checker (verify/streaming.hpp) reports the arrival-order locus
+/// instead. Independent of the checker, so tests use it to cross-check
+/// the checker's verdicts.
 TraceDiff diff_traces(const TraceSet& nominal, const TraceSet& other);
 
 /// Fingerprint an entire trace set (order-independent over SBs).

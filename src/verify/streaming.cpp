@@ -40,7 +40,6 @@ StreamingChecker::~StreamingChecker() {
 
 void StreamingChecker::attach(RunCapture& cap) {
     cap_ = &cap;
-    reader_ = &cap;
     cap.set_checker(this);
     // Catch up on anything already captured (e.g. a warm-up prefix restored
     // into the capture before the checker subscribed), in arrival order.
@@ -69,11 +68,11 @@ StreamingChecker::Slot& StreamingChecker::slot_at(std::size_t slot) {
     if (slot >= slots_.size()) slots_.resize(slot + 1);
     Slot& s = slots_[slot];
     if (s.sb.empty()) {
-        if (reader_ == nullptr) {
+        if (cap_ == nullptr) {
             throw std::logic_error(
                 "StreamingChecker: observe() before attach()");
         }
-        s.sb = reader_->stream(slot).sb_name();
+        s.sb = cap_->stream(slot).sb_name();
         const std::size_t g = golden_->find(s.sb);
         s.golden = g == GoldenIndex::npos ? nullptr : &golden_->entries()[g];
     }
@@ -96,7 +95,7 @@ void StreamingChecker::observe(std::size_t slot, const IoEvent& e) {
     ++s.seen;
     ++checked_;
     if (diverged_) return;  // verdict already fixed at the first mismatch
-    if (s.golden == nullptr) return;  // SB unknown to golden: batch ignores it
+    if (s.golden == nullptr) return;  // SB unknown to golden: ignored
     if (index >= s.golden->events.size()) {
         MismatchLocus l;
         l.kind = MismatchLocus::Kind::kExtra;
@@ -150,9 +149,9 @@ TraceDiff StreamingChecker::finish() const {
             // "the SB's stream exists but stayed empty" (shortfall) — the
             // same split diff_traces makes on materialized traces.
             bool stream_exists = false;
-            if (reader_ != nullptr) {
-                for (std::size_t i = 0; i < reader_->num_streams(); ++i) {
-                    if (reader_->stream(i).sb_name() == g.name) {
+            if (cap_ != nullptr) {
+                for (std::size_t i = 0; i < cap_->num_streams(); ++i) {
+                    if (cap_->stream(i).sb_name() == g.name) {
                         stream_exists = true;
                         break;
                     }
@@ -196,31 +195,6 @@ void StreamingChecker::begin_run() {
     checked_ = 0;
     locus_ = MismatchLocus{};
     message_.clear();
-}
-
-TraceDiff diff_capture(const GoldenIndex& golden, const RunCapture& cap) {
-    StreamingChecker checker(golden, StreamingOptions{.early_exit = false});
-    checker.set_reader(cap);
-    // K-way merge of the per-SB streams by arrival seq: the exact event
-    // order the online checker saw.
-    std::vector<std::size_t> pos(cap.num_streams(), 0);
-    for (;;) {
-        std::size_t best = RunCapture::npos_slot();
-        std::uint64_t best_seq = 0;
-        for (std::size_t s = 0; s < cap.num_streams(); ++s) {
-            const auto& stream = cap.stream(s);
-            if (pos[s] >= stream.size()) continue;
-            const std::uint64_t seq = stream.entry(pos[s]).seq;
-            if (best == RunCapture::npos_slot() || seq < best_seq) {
-                best = s;
-                best_seq = seq;
-            }
-        }
-        if (best == RunCapture::npos_slot()) break;
-        checker.observe(best, cap.stream(best).event(pos[best]));
-        ++pos[best];
-    }
-    return checker.finish();
 }
 
 }  // namespace st::verify

@@ -61,10 +61,10 @@ struct StreamingOptions {
 /// order*, at which point (early_exit) the checker requests a cooperative
 /// scheduler stop instead of simulating the remaining cycles.
 ///
-/// finish() returns a TraceDiff bit-identical (verdict, first_mismatch
-/// string, structured locus) to diff_capture() over the same capture — the
-/// offline differ replays the arrival-ordered stream through this same
-/// class, so parity holds by construction.
+/// This is the only way a run gets its verdict. finish()'s `identical`
+/// agrees with diff_traces over the truncated capture; where several SBs
+/// diverge, diff_traces may report a different (name-order) first mismatch
+/// (tests/test_streaming.cpp holds both properties).
 class StreamingChecker {
   public:
     explicit StreamingChecker(const GoldenIndex& golden,
@@ -79,12 +79,13 @@ class StreamingChecker {
     /// care about); the capture keeps the attachment across begin_run().
     void attach(RunCapture& cap);
 
-    /// Observe one captured event (called by RunCapture::record — or by
-    /// diff_capture's offline replay). Events at cycle >= n_cycles are
-    /// outside the paper's comparison window and ignored.
+    /// Observe one captured event (called by RunCapture::record). Events at
+    /// cycle >= n_cycles are outside the paper's comparison window and
+    /// ignored.
     void observe(std::size_t slot, const IoEvent& e);
 
     bool diverged() const { return diverged_; }
+    const GoldenIndex& golden() const { return *golden_; }
     std::uint64_t events_checked() const { return checked_; }
 
     /// Flip the early-exit policy between runs. A per-worker checker reused
@@ -107,10 +108,7 @@ class StreamingChecker {
 
     /// Called by ~RunCapture so a checker outliving its capture does not
     /// dangle.
-    void on_capture_destroyed() {
-        cap_ = nullptr;
-        reader_ = nullptr;
-    }
+    void on_capture_destroyed() { cap_ = nullptr; }
 
   private:
     struct Slot {
@@ -120,32 +118,17 @@ class StreamingChecker {
         std::uint64_t digest = kFnvOffset;
     };
 
-    friend TraceDiff diff_capture(const GoldenIndex& golden,
-                                  const RunCapture& cap);
-
     Slot& slot_at(std::size_t slot);
     void record_mismatch(MismatchLocus locus, std::string message);
-    /// Point the lazy slot-name lookup at `cap` without subscribing (the
-    /// offline replay path).
-    void set_reader(const RunCapture& cap) { reader_ = &cap; }
 
     const GoldenIndex* golden_;
     StreamingOptions opt_;
-    RunCapture* cap_ = nullptr;           ///< attached (online) capture
-    const RunCapture* reader_ = nullptr;  ///< slot-name source
+    RunCapture* cap_ = nullptr;  ///< attached capture; slot-name source
     std::vector<Slot> slots_;
     bool diverged_ = false;
     std::uint64_t checked_ = 0;
     MismatchLocus locus_;
     std::string message_;
 };
-
-/// Offline arrival-ordered differ: replay `cap`'s streams merged by arrival
-/// seq through a StreamingChecker and return its verdict. This is the batch
-/// path of the streaming pipeline — same comparison core, same locus, same
-/// strings; only *when* the work happens differs. (Contrast diff_traces,
-/// which scans SBs in name order and can pick a different — equally valid —
-/// first mismatch when several SBs diverge.)
-TraceDiff diff_capture(const GoldenIndex& golden, const RunCapture& cap);
 
 }  // namespace st::verify

@@ -27,11 +27,12 @@ class StreamingChecker;
 /// case's event volume, mirroring the scheduler's slab pool).
 ///
 /// Entries carry the event plus its *global arrival sequence* within the
-/// run. Arrival order is how the streaming checker and the ordered batch
-/// differ agree on which mismatch is "first"; it is deliberately kept out of
-/// IoEvent itself because the interleave across SBs is delay-dependent —
-/// folding it into fingerprints or trace equality would make every
-/// deterministic run compare unequal under perturbation.
+/// run. Arrival order is how the streaming checker decides which mismatch
+/// is "first", also when it catches up on events captured before it was
+/// attached; it is deliberately kept out of IoEvent itself because the
+/// interleave across SBs is delay-dependent — folding it into fingerprints
+/// or trace equality would make every deterministic run compare unequal
+/// under perturbation.
 class TraceArena {
   public:
     static constexpr std::size_t kChunkEvents = 256;

@@ -89,6 +89,138 @@ TEST(Checkpoint, RejectsTrailingBytes) {
                  snap::SnapshotError);
 }
 
+// --- crafted images ---
+
+/// Knobs for one hand-built progress image in the checkpoint wire format: a
+/// one-failure summary whose case carries one delay per vector and one
+/// fault, and whose report carries a value locus with both events.
+struct Crafted {
+    std::uint8_t fork_byte = 1;       ///< key: the retired warm-up fork flag
+    std::uint8_t streaming_byte = 1;  ///< key: the retired streaming flag
+    std::uint64_t pct_count = 1;      ///< declared length of fifo_pct
+    std::uint64_t fault_count = 1;    ///< declared fault count
+    std::uint8_t fault_class = 0;
+    std::uint8_t outcome = 1;
+    std::uint8_t locus_kind = 1;
+    std::uint8_t dir = 0;  ///< direction of the locus's expected event
+};
+
+void write_crafted_event(snap::StateWriter& w, std::uint8_t dir) {
+    w.u64(5);
+    w.u8(dir);
+    w.u32(0);
+    w.u64(0x2a);
+}
+
+/// Written field by field, independently of fuzz::encode_progress, so the
+/// defaults double as a fixed record of the wire format.
+snap::Snapshot craft(const Crafted& k) {
+    snap::StateWriter w;
+    w.begin_group("stcampaign");
+    w.begin("key");
+    w.str("pair");
+    for (const std::uint64_t v : {80, 2'000'000, 9, 24}) w.u64(v);
+    w.u64(1);  // one fault class
+    w.u8(0);
+    w.u64(2);   // max_faults
+    w.u64(0);   // warmup_cycles
+    w.u8(k.fork_byte);
+    w.u8(k.streaming_byte);
+    w.u64(0);  // shard 0/1
+    w.u64(1);
+    w.end();
+    w.begin("progress");
+    w.u64(1);
+    w.end();
+    w.begin_group("summary");
+    w.begin("counts");
+    for (const std::uint64_t v : {1, 0, 1, 0, 0, 1, 0, 1}) w.u64(v);
+    w.end();
+    w.begin_group("failure");
+    w.begin("case");
+    w.u64(0);  // global index
+    w.u64(k.pct_count);
+    w.u32(150);
+    for (int v = 0; v < 3; ++v) {  // ring a->b, ring b->a, clocks
+        w.u64(1);
+        w.u32(100);
+    }
+    w.u64(k.fault_count);
+    w.u8(k.fault_class);
+    for (const std::uint64_t v : {0, 1, 2, 0}) w.u64(v);
+    w.end();
+    w.begin("report");
+    w.u8(k.outcome);
+    w.b(true);  // goal met
+    for (const std::uint64_t v : {1, 1234, 0}) w.u64(v);
+    w.str("SB 'sb0' event 3: value");
+    w.u8(k.locus_kind);
+    w.str("sb0");
+    w.u64(3);  // index
+    w.u64(5);  // cycle
+    w.u32(0);  // port
+    w.b(true);
+    write_crafted_event(w, k.dir);
+    w.b(true);
+    write_crafted_event(w, 0);
+    w.end();
+    w.end();  // failure
+    w.end();  // summary
+    w.end();  // stcampaign
+    return snap::Snapshot(w.take());
+}
+
+/// decode_progress must refuse `img` with a SnapshotError whose message
+/// contains `what`.
+void expect_rejected(const snap::Snapshot& img, const std::string& what) {
+    try {
+        fuzz::decode_progress(img);
+        ADD_FAILURE() << "decoded an image it should reject (" << what << ")";
+    } catch (const snap::SnapshotError& e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(CheckpointCrafted, WireFormatImageReencodesByteIdentically) {
+    const snap::Snapshot img = craft({});
+    const fuzz::CampaignProgress p = fuzz::decode_progress(img);
+    EXPECT_EQ(p.summary.failures.size(), 1u);
+    EXPECT_EQ(fuzz::encode_progress(p).bytes(), img.bytes());
+}
+
+TEST(CheckpointCrafted, RejectsUnknownOutcome) {
+    expect_rejected(craft({.outcome = 7}), "outcome 7");
+}
+
+TEST(CheckpointCrafted, RejectsUnknownFaultClass) {
+    expect_rejected(craft({.fault_class = 9}), "fault class 9");
+}
+
+TEST(CheckpointCrafted, RejectsUnknownLocusKind) {
+    expect_rejected(craft({.locus_kind = 9}), "locus kind 9");
+}
+
+TEST(CheckpointCrafted, RejectsUnknownEventDirection) {
+    expect_rejected(craft({.dir = 2}), "direction 2");
+}
+
+// A corrupt count must fail at the end of its chunk, not size a container.
+TEST(CheckpointCrafted, HugeFaultCountFailsAtChunkEnd) {
+    expect_rejected(craft({.fault_count = 1ull << 40}), "truncated");
+}
+
+TEST(CheckpointCrafted, HugePctCountFailsAtChunkEnd) {
+    expect_rejected(craft({.pct_count = 1ull << 40}), "truncated");
+}
+
+// Images from builds with the re-simulated warm-up or the batch verdict
+// record those modes as 0; this build runs neither and says which.
+TEST(CheckpointCrafted, RejectsRemovedCampaignModes) {
+    expect_rejected(craft({.fork_byte = 0}), "warm-up fork");
+    expect_rejected(craft({.streaming_byte = 0}), "streaming");
+}
+
 // --- resume ---
 
 TEST(CheckpointResume, ResumeReproducesUninterruptedSummary) {

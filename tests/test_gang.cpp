@@ -4,9 +4,10 @@
 // delays live, run bounded, classify. That must be indistinguishable from
 // elaborating the perturbed spec afresh — identical per-case RunReports
 // (outcome, events, detail, locus) on every shipped spec and fault class,
-// the NoC-scale fixtures, warm-up fork and re-simulation, streaming and
-// batch verdicts, and delay corners the random draw never reaches — and a
-// lane must carry no residue from one case into the next. The tail checks
+// the NoC-scale fixtures, a forked warm-up held to both a restored and a
+// re-simulated prefix, divergent early exits, and delay corners the random
+// draw never reaches — and a lane must carry no residue from one case into
+// the next. The tail checks
 // the rewind targets and the program the campaign shares with its lanes.
 
 #include <gtest/gtest.h>
@@ -60,12 +61,18 @@ std::vector<fuzz::FaultClass> classes_for(const std::string& spec_name) {
     return fuzz::all_fault_classes();
 }
 
+/// How the fresh reference reaches a warm-up campaign's prefix: strictly
+/// restoring the campaign's prefix snapshot, or re-simulating the nominal
+/// prefix on the fresh Soc.
+enum class Prefix { kRestored, kResimulated };
+
 /// Fresh-elaboration reference: the case on a Soc built for it alone —
 /// `sys::apply` then `Soc(spec, &cap)`; with a warm-up, the nominal Soc
-/// plus the strictly restored prefix or a re-simulated one, then the live
-/// delta — with its own capture, checker, injector and monitor.
+/// plus the `prefix` reference, then the live delta — with its own capture,
+/// checker, injector and monitor.
 fuzz::RunReport run_fresh(const fuzz::Campaign& campaign,
-                          const fuzz::FuzzCase& c) {
+                          const fuzz::FuzzCase& c,
+                          Prefix prefix = Prefix::kRestored) {
     const fuzz::CampaignConfig& cfg = campaign.config();
     auto perturbed = std::make_shared<const sys::SocSpec>(
         sys::apply(campaign.spec(), c.delays));
@@ -73,20 +80,16 @@ fuzz::RunReport run_fresh(const fuzz::Campaign& campaign,
         fuzz::max_effective_period(*perturbed), cfg.cycles);
 
     verify::RunCapture cap;
-    std::unique_ptr<verify::StreamingChecker> checker;
-    if (cfg.streaming) {
-        checker =
-            std::make_unique<verify::StreamingChecker>(campaign.golden_index());
-        checker->attach(cap);
-        checker->set_early_exit(cfg.classes.empty() && c.faults.empty());
-    }
+    verify::StreamingChecker checker(campaign.golden_index());
+    checker.attach(cap);
+    checker.set_early_exit(cfg.classes.empty() && c.faults.empty());
 
     std::unique_ptr<sys::Soc> soc;
     if (cfg.warmup_cycles == 0) {
         soc = std::make_unique<sys::Soc>(std::move(perturbed), &cap);
     } else {
         soc = std::make_unique<sys::Soc>(campaign.program()->spec_ptr(), &cap);
-        if (cfg.warmup_fork) {
+        if (prefix == Prefix::kRestored) {
             soc->restore_snapshot(campaign.warmup_prefix());
         } else {
             bool budget = false;
@@ -103,7 +106,7 @@ fuzz::RunReport run_fresh(const fuzz::Campaign& campaign,
     const bool goal = fuzz::run_bounded(*soc, cfg.cycles, deadline,
                                         cfg.max_events, budget_expired);
     return fuzz::classify_case(*soc, injector.fired(), goal, budget_expired,
-                               monitor.violations(), nullptr, checker.get(),
+                               monitor.violations(), nullptr, &checker,
                                campaign.golden_index(), cap);
 }
 
@@ -145,13 +148,13 @@ std::vector<sys::DelayConfig> envelope_corners(const sys::SocSpec& spec) {
 /// Run `cases` in order on one CaseRunner and require every report to
 /// equal its fresh-elaboration reference. Returns the engine's reports.
 std::vector<fuzz::RunReport> expect_matches_fresh(
-    const fuzz::Campaign& campaign,
-    const std::vector<fuzz::FuzzCase>& cases) {
+    const fuzz::Campaign& campaign, const std::vector<fuzz::FuzzCase>& cases,
+    Prefix prefix = Prefix::kRestored) {
     fuzz::CaseRunner runner(campaign);
     std::vector<fuzz::RunReport> reports;
     for (std::size_t i = 0; i < cases.size(); ++i) {
         const fuzz::RunReport lane = runner.run(cases[i]);
-        const fuzz::RunReport fresh = run_fresh(campaign, cases[i]);
+        const fuzz::RunReport fresh = run_fresh(campaign, cases[i], prefix);
         EXPECT_TRUE(lane == fresh) << "case " << i << "\n  lane:  "
                                    << show(lane) << "\n  fresh: "
                                    << show(fresh);
@@ -219,38 +222,25 @@ TEST(RewindEquivalence, TopoFixtureSpecs) {
     }
 }
 
-// --- warm-up and verdict modes --------------------------------------------
+// --- warm-up ---------------------------------------------------------------
 
-// Fork restores the shared prefix image; non-fork re-simulates the prefix
-// on the rewound lane with its monitor's edge observers gated.
+// The lane forks every case from the campaign's prefix snapshot. Restore-
+// equivalence holds it to both references: the strictly restored prefix,
+// and the nominal prefix re-simulated on a fresh Soc.
 TEST(RewindEquivalence, WarmupForkAndNonFork) {
     for (const char* name : {"pair", "triangle"}) {
-        for (const bool fork : {true, false}) {
-            SCOPED_TRACE(std::string(name) + (fork ? " fork" : " non-fork"));
-            fuzz::CampaignConfig cfg;
-            cfg.spec_name = name;
-            cfg.cycles = 80;
-            cfg.warmup_cycles = 30;
-            cfg.warmup_fork = fork;
-            cfg.classes = fuzz::all_fault_classes();
-            const fuzz::Campaign campaign(cfg);
-            expect_matches_fresh(campaign, draw(campaign, 16, 5));
-        }
-    }
-}
-
-TEST(RewindEquivalence, StreamingOnAndOff) {
-    for (const bool streaming : {true, false}) {
-        for (const bool faulted : {false, true}) {
-            SCOPED_TRACE(std::string(streaming ? "streaming" : "batch") +
-                         (faulted ? " faulted" : " fault-free"));
-            fuzz::CampaignConfig cfg;
-            cfg.spec_name = "triangle";
-            cfg.cycles = 60;
-            cfg.streaming = streaming;
-            if (faulted) cfg.classes = fuzz::all_fault_classes();
-            const fuzz::Campaign campaign(cfg);
-            expect_matches_fresh(campaign, draw(campaign, 12, 3));
+        fuzz::CampaignConfig cfg;
+        cfg.spec_name = name;
+        cfg.cycles = 80;
+        cfg.warmup_cycles = 30;
+        cfg.classes = fuzz::all_fault_classes();
+        const fuzz::Campaign campaign(cfg);
+        const auto cases = draw(campaign, 16, 5);
+        for (const Prefix prefix : {Prefix::kRestored, Prefix::kResimulated}) {
+            SCOPED_TRACE(std::string(name) + (prefix == Prefix::kRestored
+                                                  ? " restored"
+                                                  : " re-simulated"));
+            expect_matches_fresh(campaign, cases, prefix);
         }
     }
 }
@@ -393,23 +383,19 @@ TEST(RewindEquivalence, ShrunkCaseReplaysOnFreshElaboration) {
 // fault-free cases diverge: the checker stops the run at the first
 // mismatch, and the next case must start from a clean rewind.
 TEST(RewindEquivalence, DivergentEarlyExitFixture) {
-    for (const bool streaming : {true, false}) {
-        SCOPED_TRACE(streaming ? "streaming" : "batch");
-        fuzz::CampaignConfig cfg;
-        cfg.spec_name = "late-head";
-        cfg.cycles = 60;
-        cfg.streaming = streaming;
-        const fuzz::Campaign campaign(cfg, sva::make_fixture("late-head"));
-        std::vector<fuzz::FuzzCase> cases = draw(campaign, 12, 7);
-        for (const auto& d : envelope_corners(campaign.spec())) {
-            cases.push_back(fuzz::FuzzCase{d, {}});
-        }
-        const auto reports = expect_matches_fresh(campaign, cases);
-        EXPECT_TRUE(std::any_of(
-            reports.begin(), reports.end(), [](const fuzz::RunReport& r) {
-                return r.outcome == fuzz::Outcome::kTraceDivergent;
-            }));
+    fuzz::CampaignConfig cfg;
+    cfg.spec_name = "late-head";
+    cfg.cycles = 60;
+    const fuzz::Campaign campaign(cfg, sva::make_fixture("late-head"));
+    std::vector<fuzz::FuzzCase> cases = draw(campaign, 12, 7);
+    for (const auto& d : envelope_corners(campaign.spec())) {
+        cases.push_back(fuzz::FuzzCase{d, {}});
     }
+    const auto reports = expect_matches_fresh(campaign, cases);
+    EXPECT_TRUE(std::any_of(
+        reports.begin(), reports.end(), [](const fuzz::RunReport& r) {
+            return r.outcome == fuzz::Outcome::kTraceDivergent;
+        }));
 }
 
 // --- residue ------------------------------------------------------------------

@@ -89,10 +89,9 @@ TEST_P(MethodologyMatrix, DeterminismHoldsInEveryCell) {
         c.fifo.head_protocol = proto;
     }
 
-    const auto run = [&](const DelayConfig& cfg) {
-        Soc soc(apply(spec, cfg));
+    const auto run = [&](const DelayConfig& cfg, verify::RunCapture& cap) {
+        Soc soc(apply(spec, cfg), &cap);
         soc.run_cycles(130, sim::ms(8));
-        return soc.traces();
     };
     verify::DeterminismHarness<DelayConfig> harness(
         run, DelayConfig::nominal(spec), 90);
@@ -118,10 +117,10 @@ INSTANTIATE_TEST_SUITE_P(
 // jobs-invariance contract at the methodology level.
 TEST(MethodologyMatrixParallel, SweepResultMatchesSerialRun) {
     const SocSpec spec = topo_spec(Topology::kTriangle);
-    const auto run = [&spec](const DelayConfig& cfg) {
-        Soc soc(apply(spec, cfg));
+    const auto run = [&spec](const DelayConfig& cfg,
+                             verify::RunCapture& cap) {
+        Soc soc(apply(spec, cfg), &cap);
         soc.run_cycles(130, sim::ms(8));
-        return soc.traces();
     };
 
     std::vector<DelayConfig> sweep;

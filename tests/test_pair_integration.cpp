@@ -89,10 +89,9 @@ TEST_P(PairDeterminism, PerturbedDelaysReproduceNominalSequences) {
     const auto [fifo_pct, ring_pct, clock_pct] = GetParam();
     const SocSpec nominal = make_pair_spec();
 
-    const auto runner = [&](const DelayConfig& cfg) {
-        Soc soc(apply(nominal, cfg));
+    const auto runner = [&](const DelayConfig& cfg, verify::RunCapture& cap) {
+        Soc soc(apply(nominal, cfg), &cap);
         soc.run_cycles(150, sim::us(40));
-        return soc.traces();
     };
     verify::DeterminismHarness<DelayConfig> harness(
         runner, DelayConfig::nominal(nominal), 100);

@@ -279,10 +279,10 @@ TEST(RunnerCampaign, OnRunCallbackStreamIsJobsInvariant) {
 
 TEST(RunnerSweep, DeterminismSweepResultJobsInvariant) {
     const sys::SocSpec spec = sys::make_pair_spec();
-    const auto run = [&spec](const sys::DelayConfig& cfg) {
-        sys::Soc soc(sys::apply(spec, cfg));
+    const auto run = [&spec](const sys::DelayConfig& cfg,
+                             verify::RunCapture& cap) {
+        sys::Soc soc(sys::apply(spec, cfg), &cap);
         soc.run_cycles(130, sim::ms(8));
-        return soc.traces();
     };
 
     std::vector<sys::DelayConfig> perturbations;

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "debug/driver.hpp"
-#include "fuzz/campaign.hpp"
 #include "fuzz/fault.hpp"
 #include "fuzz/injector.hpp"
 #include "snap/snapshot.hpp"
@@ -24,8 +23,6 @@
 #include "system/soc.hpp"
 #include "system/testbenches.hpp"
 #include "system/vcd_probe.hpp"
-#include "system/warm_runner.hpp"
-#include "verify/determinism.hpp"
 
 namespace st {
 namespace {
@@ -492,77 +489,6 @@ TEST(DebugDriverRaceAudit, OffByDefaultAndOffAfterPlainRestore) {
     drv.run_to_cycle(0, kPrefix, kDeadline);
     drv.restore(drv.snapshot());
     EXPECT_FALSE(drv.soc().scheduler().race_audit());
-}
-
-// --- warm-up forking ----------------------------------------------------
-
-TEST(WarmRunner, ForkedSweepIsBitIdenticalToNonForked) {
-    const sys::SocSpec spec = sys::make_pair_spec();
-    const sys::DelayConfig nominal = sys::DelayConfig::nominal(spec);
-
-    std::vector<sys::DelayConfig> cases;
-    for (unsigned pct : {50u, 75u, 150u, 200u}) {
-        sys::DelayConfig c = nominal;
-        c.fifo_pct.assign(c.fifo_pct.size(), pct);
-        cases.push_back(c);
-        c = nominal;
-        c.ring_ab_pct.assign(c.ring_ab_pct.size(), pct);
-        cases.push_back(c);
-    }
-
-    const sys::WarmRunner forked(spec, kTotal, kDeadline, kPrefix,
-                                 /*fork=*/true);
-    const sys::WarmRunner plain(spec, kTotal, kDeadline, kPrefix,
-                                /*fork=*/false);
-    for (const auto& c : cases) {
-        EXPECT_EQ(forked(c), plain(c));
-    }
-
-    // And through the harness: identical sweep summaries at any job count.
-    verify::DeterminismHarness<sys::DelayConfig> hf(forked, nominal, kTotal);
-    verify::DeterminismHarness<sys::DelayConfig> hp(plain, nominal, kTotal);
-    const auto rf = hf.sweep(cases, /*jobs=*/2);
-    const auto rp = hp.sweep(cases, /*jobs=*/1);
-    EXPECT_EQ(rf.runs, rp.runs);
-    EXPECT_EQ(rf.mismatches, rp.mismatches);
-}
-
-TEST(CampaignWarmup, ForkedSummaryIsBitIdenticalToNonForked) {
-    fuzz::CampaignConfig base;
-    base.spec_name = "pair";
-    base.cycles = 80;
-    base.classes = fuzz::all_fault_classes();
-    base.warmup_cycles = 30;
-
-    fuzz::CampaignConfig forked = base;
-    forked.warmup_fork = true;
-    fuzz::CampaignConfig plain = base;
-    plain.warmup_fork = false;
-
-    const fuzz::Campaign cf(forked);
-    const fuzz::Campaign cp(plain);
-    EXPECT_EQ(cf.golden(), cp.golden());
-    EXPECT_FALSE(cf.warmup_prefix().empty());
-    EXPECT_TRUE(cp.warmup_prefix().empty());
-
-    // Identical case streams, identical per-run reports, identical summary —
-    // forked at jobs=2 against non-forked at jobs=1 (the acceptance bar).
-    std::vector<fuzz::RunReport> reports_f;
-    std::vector<fuzz::RunReport> reports_p;
-    const auto sf = cf.run(
-        24, /*seed=*/0x5eedull,
-        [&](std::size_t, const fuzz::FuzzCase&, const fuzz::RunReport& r) {
-            reports_f.push_back(r);
-        },
-        /*jobs=*/2);
-    const auto sp = cp.run(
-        24, /*seed=*/0x5eedull,
-        [&](std::size_t, const fuzz::FuzzCase&, const fuzz::RunReport& r) {
-            reports_p.push_back(r);
-        },
-        /*jobs=*/1);
-    EXPECT_EQ(reports_f, reports_p);
-    EXPECT_EQ(sf, sp);
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
-// Differential suite for the streaming verification pipeline: the streaming
-// (online StreamingChecker, cooperative early exit) and batch (offline
-// diff_capture) paths must produce bit-identical verdicts, loci, reports and
-// summaries on every corpus this repo ships — the only permitted difference
-// is wall-clock. Also pins the early-exit bound, the zero-allocation arena
-// reuse, the capture sortedness precondition, and the scheduler stop flag.
+// The streaming verification pipeline is the only way a run gets its
+// verdict, so two properties pin it. Early exit changes no verdict: an
+// early-exit checker and a full-run one report identical verdicts, messages,
+// loci and sweep results. And its verdicts agree with verify::diff_traces,
+// the independent name-order differ, over the same captures: every case of
+// faulted campaigns and every run of the two-flop baseline grid. Also pins
+// the early-exit bound, the zero-allocation arena reuse, the capture
+// sortedness precondition, and the scheduler stop flag.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,12 +17,14 @@
 
 #include "baselines/baseline_soc.hpp"
 #include "fuzz/campaign.hpp"
+#include "fuzz/case_exec.hpp"
+#include "fuzz/injector.hpp"
 #include "fuzz/repro.hpp"
+#include "gang/lane.hpp"
 #include "sim/scheduler.hpp"
 #include "system/delay_config.hpp"
 #include "system/soc.hpp"
 #include "system/testbenches.hpp"
-#include "system/warm_runner.hpp"
 #include "verify/determinism.hpp"
 #include "verify/streaming.hpp"
 #include "verify/trace_arena.hpp"
@@ -29,69 +33,102 @@ namespace st {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Campaign differentials
+// Campaign cases
 // ---------------------------------------------------------------------------
 
-struct CampaignRuns {
-    fuzz::CampaignSummary summary;
-    std::vector<fuzz::FuzzCase> cases;
-    std::vector<fuzz::RunReport> reports;
-
-    bool operator==(const CampaignRuns&) const = default;
-};
-
-CampaignRuns run_campaign(fuzz::CampaignConfig cfg, bool streaming,
-                          std::uint64_t runs, std::uint64_t seed,
-                          std::size_t jobs) {
-    cfg.streaming = streaming;
-    const fuzz::Campaign campaign(cfg);
-    CampaignRuns out;
-    out.summary = campaign.run(
-        runs, seed,
-        [&](std::size_t, const fuzz::FuzzCase& c, const fuzz::RunReport& r) {
-            out.cases.push_back(c);
-            out.reports.push_back(r);
-        },
-        jobs);
-    return out;
+/// Replay `c` on `lane` exactly as fuzz::CaseRunner runs a cold campaign
+/// case, leaving the run's capture and checker on the lane to inspect.
+fuzz::RunReport replay(const fuzz::Campaign& campaign, gang::Lane& lane,
+                       const fuzz::FuzzCase& c) {
+    const fuzz::CampaignConfig& cfg = campaign.config();
+    lane.checker()->set_early_exit(cfg.classes.empty() && c.faults.empty());
+    lane.rewind();
+    sys::Soc& soc = lane.soc();
+    const fuzz::Injector injector(soc, c.faults);
+    sys::apply_live(soc, c.delays);
+    const sim::Time deadline = fuzz::case_deadline(
+        fuzz::perturbed_max_effective_period(campaign.spec(), c.delays),
+        cfg.cycles);
+    bool budget_expired = false;
+    const bool goal = fuzz::run_bounded(soc, cfg.cycles, deadline,
+                                        cfg.max_events, budget_expired);
+    return fuzz::classify_case(soc, injector.fired(), goal, budget_expired,
+                               lane.monitor()->violations(), nullptr,
+                               lane.checker(), campaign.golden_index(),
+                               lane.capture());
 }
 
-TEST(StreamingBatch, EveryShippedSpecIdenticalReports) {
-    for (const auto& name : sys::named_specs()) {
-        SCOPED_TRACE(name);
-        fuzz::CampaignConfig cfg;
-        cfg.spec_name = name;
-        cfg.cycles = 40;
-        const auto stream = run_campaign(cfg, true, 4, 99, 1);
-        const auto batch = run_campaign(cfg, false, 4, 99, 1);
-        EXPECT_EQ(stream, batch);
-        EXPECT_EQ(stream.summary.runs, 4u);
+/// Golden SBs whose events in `run` differ from the golden's.
+std::size_t diverged_sbs(const verify::TraceSet& golden,
+                         const verify::TraceSet& run) {
+    std::size_t n = 0;
+    for (const auto& [name, trace] : golden) {
+        const auto it = run.find(name);
+        if (it == run.end() || it->second.events != trace.events) ++n;
     }
+    return n;
 }
 
-TEST(StreamingBatch, FaultCampaignIdenticalAcrossModesAndJobs) {
+/// The checker's verdict on one finished run against diff_traces over the
+/// same capture. Name order and arrival order may pick different first
+/// mismatches when several SBs diverge, so loci are compared only when one
+/// SB does. Returns whether the loci were compared.
+bool expect_agrees_with_diff_traces(const verify::TraceSet& golden,
+                                    std::uint64_t cycles,
+                                    const verify::StreamingChecker& checker,
+                                    const verify::RunCapture& cap) {
+    const verify::TraceSet run = verify::truncated(cap.traces(), cycles);
+    const verify::TraceDiff online = checker.finish();
+    const verify::TraceDiff offline = verify::diff_traces(golden, run);
+    EXPECT_EQ(online.identical, offline.identical)
+        << "checker: '" << online.first_mismatch << "'\n  diff_traces: '"
+        << offline.first_mismatch << "'";
+    if (diverged_sbs(golden, run) != 1) return false;
+    EXPECT_EQ(online.locus, offline.locus)
+        << "checker: '" << online.first_mismatch << "'\n  diff_traces: '"
+        << offline.first_mismatch << "'";
+    return true;
+}
+
+TEST(StreamingVerdict, AgreesWithDiffTracesOnEveryFaultedCampaignCase) {
     for (const auto* name : {"pair", "triangle"}) {
         SCOPED_TRACE(name);
         fuzz::CampaignConfig cfg;
         cfg.spec_name = name;
         cfg.cycles = 60;
         cfg.classes = fuzz::all_fault_classes();
-        cfg.max_faults = 2;
-
-        const auto baseline = run_campaign(cfg, true, 24, 7, 1);
-        for (std::size_t jobs : {std::size_t{1}, std::size_t{2},
-                                 std::size_t{4}}) {
-            SCOPED_TRACE(jobs);
-            EXPECT_EQ(run_campaign(cfg, true, 24, 7, jobs), baseline);
-            EXPECT_EQ(run_campaign(cfg, false, 24, 7, jobs), baseline);
+        const fuzz::Campaign campaign(cfg);
+        std::vector<fuzz::FuzzCase> cases;
+        std::vector<fuzz::RunReport> reports;
+        const fuzz::CampaignSummary summary = campaign.run(
+            60, 7,
+            [&](std::size_t, const fuzz::FuzzCase& c,
+                const fuzz::RunReport& r) {
+                cases.push_back(c);
+                reports.push_back(r);
+            },
+            /*jobs=*/4);
+        // Every kind of verdict is in the mix, not only clean runs.
+        for (const fuzz::Outcome o :
+             {fuzz::Outcome::kDeterministic, fuzz::Outcome::kTraceDivergent,
+              fuzz::Outcome::kDeadlocked,
+              fuzz::Outcome::kInvariantViolation}) {
+            EXPECT_GT(summary.by_outcome[static_cast<std::size_t>(o)], 0u)
+                << fuzz::outcome_name(o);
         }
-        // A fault campaign over pair/triangle at these seeds exercises every
-        // non-deterministic outcome; make sure the differential is not
-        // vacuously comparing all-deterministic runs.
-        EXPECT_GT(baseline.summary.runs -
-                      baseline.summary.by_outcome[static_cast<std::size_t>(
-                          fuzz::Outcome::kDeterministic)],
-                  0u);
+
+        gang::Lane lane(campaign.program(),
+                        {.golden = &campaign.golden_index(), .monitor = true});
+        std::size_t loci_compared = 0;
+        for (std::size_t i = 0; i < cases.size(); ++i) {
+            SCOPED_TRACE("case " + std::to_string(i));
+            // The replay is the campaign's own case, verdict for verdict.
+            EXPECT_EQ(replay(campaign, lane, cases[i]), reports[i]);
+            loci_compared += expect_agrees_with_diff_traces(
+                campaign.golden(), cfg.cycles, *lane.checker(),
+                lane.capture());
+        }
+        EXPECT_GT(loci_compared, 0u);
     }
 }
 
@@ -100,9 +137,13 @@ TEST(StreamingBatch, DivergentReportCarriesStructuredLocus) {
     cfg.spec_name = "pair";
     cfg.cycles = 60;
     cfg.classes = fuzz::all_fault_classes();
-    const auto runs = run_campaign(cfg, true, 40, 11, 1);
+    const fuzz::Campaign campaign(cfg);
+    std::vector<fuzz::RunReport> reports;
+    campaign.run(40, 11,
+                 [&](std::size_t, const fuzz::FuzzCase&,
+                     const fuzz::RunReport& r) { reports.push_back(r); });
     bool saw_divergent = false;
-    for (const auto& r : runs.reports) {
+    for (const auto& r : reports) {
         if (r.outcome == fuzz::Outcome::kTraceDivergent) {
             saw_divergent = true;
             EXPECT_TRUE(r.locus.valid());
@@ -137,18 +178,11 @@ TEST(StreamingBatch, ReproCorpusIdenticalClassification) {
         fuzz::CampaignConfig cfg;
         cfg.spec_name = repro.spec_name;
         cfg.cycles = repro.cycles;
+        const fuzz::Campaign campaign(cfg);
 
-        cfg.streaming = true;
-        const fuzz::Campaign stream(cfg);
-        cfg.streaming = false;
-        const fuzz::Campaign batch(cfg);
-
-        const auto c = repro.to_case(stream.spec());
-        const auto rs = stream.run_case(c);
-        const auto rb = batch.run_case(c);
-        EXPECT_EQ(rs, rb);
+        const auto r = campaign.run_case(repro.to_case(campaign.spec()));
         if (repro.expected) {
-            EXPECT_EQ(rs.outcome, *repro.expected);
+            EXPECT_EQ(r.outcome, *repro.expected);
         }
         ++replayed;
     }
@@ -156,7 +190,7 @@ TEST(StreamingBatch, ReproCorpusIdenticalClassification) {
 }
 
 // ---------------------------------------------------------------------------
-// Harness differentials
+// Harness sweeps
 // ---------------------------------------------------------------------------
 
 std::vector<sys::DelayConfig> grid_perturbations(const sys::SocSpec& spec) {
@@ -173,68 +207,84 @@ std::vector<sys::DelayConfig> grid_perturbations(const sys::SocSpec& spec) {
     return out;
 }
 
-TEST(HarnessDifferential, SynchroTokensLiveMatchesBatchAndLegacy) {
+/// The plesiochronous pair behind two-flop synchronizers: the baseline
+/// whose perturbed runs diverge.
+sys::SocSpec two_flop_pair_spec() {
+    sys::PairOptions opt;
+    opt.period_b = 1009;
+    return sys::make_pair_spec(opt);
+}
+
+void run_two_flop(const sys::SocSpec& spec, const sys::DelayConfig& cfg,
+                  verify::RunCapture& cap) {
+    baseline::BaselineSoc soc(sys::apply(spec, cfg),
+                              baseline::BaselineSoc::Kind::kTwoFlop, &cap);
+    soc.run_cycles(150, sim::ms(1));
+}
+
+TEST(HarnessDifferential, SynchroTokensEarlyExitMatchesFullRun) {
     const auto spec = sys::make_named_spec("triangle");
-    const sys::WarmRunner runner(spec, 60, sim::ms(1));
+    const auto live = [&spec](const sys::DelayConfig& cfg,
+                              verify::RunCapture& cap) {
+        sys::Soc soc(sys::apply(spec, cfg), &cap);
+        soc.run_cycles(60, sim::ms(1));
+    };
     const auto nominal = sys::DelayConfig::nominal(spec);
     const auto perturbations = grid_perturbations(spec);
 
-    verify::DeterminismHarness<sys::DelayConfig> stream(
-        verify::DeterminismHarness<sys::DelayConfig>::LiveRunner(
-            [&runner](const sys::DelayConfig& cfg, verify::RunCapture& cap) {
-                runner.run(cfg, cap);
-            }),
-        nominal, 60);
-    verify::DeterminismHarness<sys::DelayConfig> batch(
-        verify::DeterminismHarness<sys::DelayConfig>::LiveRunner(
-            [&runner](const sys::DelayConfig& cfg, verify::RunCapture& cap) {
-                runner.run(cfg, cap);
-            }),
-        nominal, 60);
-    batch.set_streaming(false);
-    verify::DeterminismHarness<sys::DelayConfig> legacy(
-        verify::DeterminismHarness<sys::DelayConfig>::Runner(
-            [&runner](const sys::DelayConfig& cfg) { return runner(cfg); }),
-        nominal, 60);
+    verify::DeterminismHarness<sys::DelayConfig> early(live, nominal, 60);
+    verify::DeterminismHarness<sys::DelayConfig> full(live, nominal, 60);
+    full.set_early_exit(false);
 
-    const auto r_stream = stream.sweep(perturbations);
-    EXPECT_EQ(r_stream, batch.sweep(perturbations));
-    EXPECT_EQ(r_stream, legacy.sweep(perturbations));
-    EXPECT_TRUE(r_stream.all_match());  // the paper's §5 claim
+    const auto r_early = early.sweep(perturbations);
+    EXPECT_EQ(r_early, full.sweep(perturbations));
+    EXPECT_TRUE(r_early.all_match());  // the paper's §5 claim
     // Case-index-ordered reduction: jobs only changes wall-clock.
-    EXPECT_EQ(r_stream, stream.sweep(perturbations, 2));
-    EXPECT_EQ(r_stream, stream.sweep(perturbations, 4));
+    EXPECT_EQ(r_early, early.sweep(perturbations, 2));
+    EXPECT_EQ(r_early, early.sweep(perturbations, 4));
 }
 
 TEST(HarnessDifferential, BaselineDivergentVerdictsIdentical) {
-    sys::PairOptions opt;
-    opt.period_b = 1009;  // plesiochronous: two-flop baseline diverges
-    const auto spec = sys::make_pair_spec(opt);
-    const auto nominal = sys::DelayConfig::nominal(spec);
+    const auto spec = two_flop_pair_spec();
     const auto live = [&spec](const sys::DelayConfig& cfg,
                               verify::RunCapture& cap) {
-        baseline::BaselineSoc soc(sys::apply(spec, cfg),
-                                  baseline::BaselineSoc::Kind::kTwoFlop, &cap);
-        soc.run_cycles(150, sim::ms(1));
+        run_two_flop(spec, cfg, cap);
     };
+    const auto nominal = sys::DelayConfig::nominal(spec);
     const auto perturbations = grid_perturbations(spec);
 
-    verify::DeterminismHarness<sys::DelayConfig> stream(
-        verify::DeterminismHarness<sys::DelayConfig>::LiveRunner(live),
-        nominal, 100);
-    verify::DeterminismHarness<sys::DelayConfig> batch(
-        verify::DeterminismHarness<sys::DelayConfig>::LiveRunner(live),
-        nominal, 100);
-    batch.set_streaming(false);
+    verify::DeterminismHarness<sys::DelayConfig> early(live, nominal, 100);
+    verify::DeterminismHarness<sys::DelayConfig> full(live, nominal, 100);
+    full.set_early_exit(false);
 
-    const auto r_stream = stream.sweep(perturbations);
-    const auto r_batch = batch.sweep(perturbations);
+    const auto r_early = early.sweep(perturbations);
     // Full equality including the retained example loci: early exit must not
     // change what a divergent run reports, only how long it simulates.
-    EXPECT_EQ(r_stream, r_batch);
-    EXPECT_GT(r_stream.mismatches, 0u);
-    EXPECT_FALSE(r_stream.examples.empty());
-    EXPECT_EQ(r_stream, stream.sweep(perturbations, 4));
+    EXPECT_EQ(r_early, full.sweep(perturbations));
+    EXPECT_GT(r_early.mismatches, 0u);
+    EXPECT_FALSE(r_early.examples.empty());
+    EXPECT_EQ(r_early, early.sweep(perturbations, 4));
+}
+
+TEST(StreamingVerdict, AgreesWithDiffTracesOnTwoFlopBaselineGrid) {
+    const auto spec = two_flop_pair_spec();
+    verify::DeterminismHarness<sys::DelayConfig> harness(
+        [&spec](const sys::DelayConfig& cfg, verify::RunCapture& cap) {
+            run_two_flop(spec, cfg, cap);
+        },
+        sys::DelayConfig::nominal(spec), 100);
+    harness.capture_nominal();
+
+    std::size_t divergent = 0;
+    for (const auto& cfg : grid_perturbations(spec)) {
+        verify::RunCapture cap;
+        verify::StreamingChecker checker(harness.golden_index());
+        checker.attach(cap);
+        run_two_flop(spec, cfg, cap);
+        expect_agrees_with_diff_traces(harness.golden(), 100, checker, cap);
+        divergent += checker.diverged();
+    }
+    EXPECT_GT(divergent, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -286,14 +336,18 @@ TEST(EarlyExit, StopsWithinOneSlotOfInjectedCycle3Divergence) {
     }
     EXPECT_LT(soc.scheduler().events_executed(), full_events / 4);
 
-    // Verdict parity: a full batch run against the same doctored golden
-    // reports the identical diff (message and structured locus).
+    // Verdict parity: a full run checked against the same doctored golden
+    // with early exit off reports the identical diff (message and
+    // structured locus).
     verify::RunCapture cap_full;
+    verify::StreamingChecker full_checker(
+        doctored, verify::StreamingOptions{.early_exit = false});
+    full_checker.attach(cap_full);
     sys::Soc full(spec, &cap_full);
-    full.run_cycles(100, sim::ms(1));
-    const auto batch_diff = verify::diff_capture(doctored, cap_full);
+    EXPECT_TRUE(full.run_cycles(100, sim::ms(1)));
+    const auto full_diff = full_checker.finish();
     const auto stream_diff = checker.finish();
-    EXPECT_EQ(stream_diff, batch_diff);
+    EXPECT_EQ(stream_diff, full_diff);
     EXPECT_FALSE(stream_diff.identical);
     EXPECT_EQ(stream_diff.locus.kind, verify::MismatchLocus::Kind::kValue);
     EXPECT_EQ(stream_diff.locus.sb, victim_sb);
@@ -317,9 +371,14 @@ TEST(EarlyExit, FaultedCampaignCaseStillRunsToCompletion) {
     c.faults.push_back(f);
     const auto report = campaign.run_case(c);
     EXPECT_EQ(report.outcome, fuzz::Outcome::kDeadlocked);
-    // diff_capture on the full capture and the streaming verdict agree.
-    cfg.streaming = false;
-    EXPECT_EQ(report, fuzz::Campaign(cfg).run_case(c));
+
+    // The case ran on to its deadlock: no stop was requested, and the Soc
+    // is quiescent with its clocks stopped.
+    gang::Lane lane(campaign.program(),
+                    {.golden = &campaign.golden_index(), .monitor = true});
+    EXPECT_EQ(replay(campaign, lane, c), report);
+    EXPECT_FALSE(lane.soc().scheduler().stop_requested());
+    EXPECT_TRUE(lane.soc().deadlocked());
 }
 
 // ---------------------------------------------------------------------------

@@ -178,14 +178,13 @@ TEST(TopoDeterminism, Mesh64SweepMatchesAtEveryJobsValue) {
     opt.seed = 42;
     const auto spec = sva::to_spec(topo::generate(opt));
     constexpr std::uint64_t kCycles = 90;
-    const auto run = [&spec](const sys::DelayConfig& cfg) {
-        sys::Soc soc(sys::apply(spec, cfg));
+    const auto run = [&spec](const sys::DelayConfig& cfg,
+                             verify::RunCapture& cap) {
+        sys::Soc soc(sys::apply(spec, cfg), &cap);
         EXPECT_TRUE(soc.run_cycles(kCycles + 40, sim::ms(2000)));
-        return soc.traces();
     };
     verify::DeterminismHarness<sys::DelayConfig> harness(
-        verify::DeterminismHarness<sys::DelayConfig>::Runner(run),
-        sys::DelayConfig::nominal(spec), kCycles);
+        run, sys::DelayConfig::nominal(spec), kCycles);
     std::vector<sys::DelayConfig> sweep;
     for (std::uint64_t s = 1; s <= 3; ++s) {
         sweep.push_back(joint_perturbation(spec, opt.seed + s));
@@ -224,22 +223,22 @@ TEST(TopoDeterminism, EnvelopeViolationDivergesAndEarlyExits) {
     using Harness = verify::DeterminismHarness<sys::DelayConfig>;
     Harness streaming(Harness::LiveRunner(live),
                       sys::DelayConfig::nominal(spec), kCycles);
-    Harness batch(Harness::LiveRunner(live), sys::DelayConfig::nominal(spec),
-                  kCycles);
-    batch.set_early_exit(false);
+    Harness full(Harness::LiveRunner(live), sys::DelayConfig::nominal(spec),
+                 kCycles);
+    full.set_early_exit(false);
 
     const auto d_stream = streaming.check(bad);
     const std::uint64_t events_stream = events;
-    const auto d_batch = batch.check(bad);
-    const std::uint64_t events_batch = events;
+    const auto d_full = full.check(bad);
+    const std::uint64_t events_full = events;
 
     EXPECT_FALSE(d_stream.identical);
     // Early exit changes how long the run simulates, never what it reports.
-    EXPECT_EQ(d_stream, d_batch);
-    EXPECT_LT(events_stream, events_batch / 2)
+    EXPECT_EQ(d_stream, d_full);
+    EXPECT_LT(events_stream, events_full / 2)
         << "early exit should stop a 64-SB divergent run well before the "
            "horizon (stream "
-        << events_stream << " vs full " << events_batch << ")";
+        << events_stream << " vs full " << events_full << ")";
 }
 
 // --- golden fixtures -------------------------------------------------------

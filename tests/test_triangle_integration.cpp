@@ -76,10 +76,9 @@ class TriangleDeterminism : public ::testing::TestWithParam<int> {};
 
 TEST_P(TriangleDeterminism, PerturbedRunMatchesNominal) {
     const SocSpec nominal = make_triangle_spec();
-    const auto runner = [&](const DelayConfig& cfg) {
-        Soc soc(apply(nominal, cfg));
+    const auto runner = [&](const DelayConfig& cfg, verify::RunCapture& cap) {
+        Soc soc(apply(nominal, cfg), &cap);
         soc.run_cycles(150, sim::ms(2));
-        return soc.traces();
     };
     verify::DeterminismHarness<DelayConfig> harness(
         runner, DelayConfig::nominal(nominal), 100);

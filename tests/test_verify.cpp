@@ -128,13 +128,11 @@ TEST(DiffTraces, DetectsValueCycleAndLengthMismatches) {
 }
 
 TEST(DeterminismHarness, CountsMatchesAndCollectsExamples) {
-    // Runner returns traces that depend on the perturbation value parity.
-    const auto runner = [](const int& p) {
-        TraceSet t;
-        t.emplace("sb",
-                  make_trace("sb", {{static_cast<std::uint64_t>(p % 2),
-                                     IoEvent::Dir::kIn, 0, 42}}));
-        return t;
+    // Runner records one event whose cycle is the perturbation's parity.
+    const auto runner = [](const int& p, RunCapture& cap) {
+        const std::size_t slot = cap.add_stream("sb");
+        cap.record(slot, {static_cast<std::uint64_t>(p % 2),
+                          IoEvent::Dir::kIn, 0, 42});
     };
     DeterminismHarness<int> harness(runner, /*nominal=*/0, /*n_cycles=*/100);
     const auto result = harness.sweep({2, 4, 1, 3, 6});

@@ -49,8 +49,6 @@ struct Options {
     std::vector<fuzz::FaultClass> classes;
     std::size_t max_faults = 2;
     std::uint64_t warmup = 0;
-    bool warmup_fork = true;
-    bool streaming = true;
     std::optional<std::set<fuzz::Outcome>> expect;
     bool require_fired = false;
     bool do_shrink = false;
@@ -106,11 +104,6 @@ void usage() {
         "  --warmup N         shared nominal warm-up prefix (local cycles,\n"
         "                     < --cycles); each case forks from one snapshot\n"
         "                     of the prefix instead of re-simulating it\n"
-        "  --no-warmup-fork   with --warmup: re-simulate the prefix per case\n"
-        "                     (baseline; summaries are bit-identical)\n"
-        "  --no-streaming     classify runs by the batch differ instead of\n"
-        "                     the online streaming checker (bit-identical\n"
-        "                     summaries, no early exit; see docs/PERF.md)\n"
         "  --expect LIST      comma-separated acceptable outcomes; any run\n"
         "                     outside the list fails the campaign\n"
         "  --require-fired    every run must trigger >= 1 injected fault\n"
@@ -267,7 +260,6 @@ int run_repro(const fuzz::Repro& repro, const Options& opt) {
     cfg.spec_name = repro.spec_name;
     cfg.cycles = repro.cycles;
     cfg.max_events = opt.max_events;
-    cfg.streaming = opt.streaming;
     const fuzz::Campaign campaign(cfg);
     const fuzz::FuzzCase c = repro.to_case(campaign.spec());
     const fuzz::RunReport r = campaign.run_case(c);
@@ -382,8 +374,6 @@ int run_campaign(const Options& opt) {
     cfg.classes = opt.classes;
     cfg.max_faults = opt.max_faults;
     cfg.warmup_cycles = opt.warmup;
-    cfg.warmup_fork = opt.warmup_fork;
-    cfg.streaming = opt.streaming;
     const fuzz::Campaign campaign(cfg);
 
     // Fault-free campaigns default to demanding full determinism — that is
@@ -483,10 +473,6 @@ int main(int argc, char** argv) {
             opt.max_faults = std::strtoull(next().c_str(), nullptr, 0);
         } else if (arg == "--warmup") {
             opt.warmup = std::strtoull(next().c_str(), nullptr, 0);
-        } else if (arg == "--no-warmup-fork") {
-            opt.warmup_fork = false;
-        } else if (arg == "--no-streaming") {
-            opt.streaming = false;
         } else if (arg == "--expect") {
             std::set<fuzz::Outcome> e;
             if (!parse_expect(next(), e)) return 2;
