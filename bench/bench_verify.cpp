@@ -2,22 +2,27 @@
 // StreamingChecker pipeline (rolling per-SB digests, cooperative early exit,
 // arena-backed capture).
 //
-// Two workload mixes, matching how the pipeline is used:
+// Three workload mixes, matching how the pipeline is used:
 //  - deterministic-heavy: the paper's §5 sweep on the synchro-tokens
 //    triangle — every run matches and ends with an O(#SBs) verdict over an
 //    allocation-free capture;
+//  - window stop: the same sweep with a runner that over-runs the 100-cycle
+//    window to 140 cycles (as bench_determinism does), so the early exit
+//    ends every run once all SBs have left the window; timed against the
+//    same checker with early exit off;
 //  - divergent-heavy: the two-flop-synchronizer baseline on a plesiochronous
 //    pair — most runs diverge within a few cycles, so the early exit skips
 //    almost the whole remaining simulation; timed against the same checker
 //    with early exit off.
 //
-// The divergent mix re-checks the early-exit contract — early-exit and
+// The last two mixes re-check the early-exit contract — early-exit and
 // full-run SweepResults bit-identical (verdicts, counts, retained example
 // loci) — and the bench exits non-zero if it ever breaks. Numbers land in
 // BENCH_verify.json (docs/PERF.md).
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -77,11 +82,14 @@ double rate(std::size_t runs, double secs) {
     return static_cast<double>(runs) / (secs > 0 ? secs : 1e-9);
 }
 
-/// The §5 sweep's runner: elaborate the perturbed triangle, run 100 cycles.
-Harness::LiveRunner triangle_runner(const sys::SocSpec& spec) {
-    return [&spec](const sys::DelayConfig& cfg, verify::RunCapture& cap) {
+/// The §5 sweep's runner: elaborate the perturbed triangle, run `horizon`
+/// cycles.
+Harness::LiveRunner triangle_runner(const sys::SocSpec& spec,
+                                    std::uint64_t horizon) {
+    return [&spec, horizon](const sys::DelayConfig& cfg,
+                            verify::RunCapture& cap) {
         sys::Soc soc(sys::apply(spec, cfg), &cap);
-        soc.run_cycles(100, sim::ms(1));
+        soc.run_cycles(horizon, sim::ms(1));
     };
 }
 
@@ -94,8 +102,8 @@ void run_experiment() {
     {
         const auto spec = sys::make_named_spec("triangle");
         const auto ps = grid(spec, runs);
-        Harness stream{triangle_runner(spec), sys::DelayConfig::nominal(spec),
-                       100};
+        Harness stream{triangle_runner(spec, 100),
+                       sys::DelayConfig::nominal(spec), 100};
 
         verify::SweepResult rs;
         const double ts = timed_sweep(stream, ps, rs);
@@ -110,6 +118,53 @@ void run_experiment() {
                     rate(ps.size(), ts));
         report.add("verify_stream_runs_per_sec", rate(ps.size(), ts),
                    "runs/s", 1);
+    }
+
+    // ---- window stop: triangle runner over-runs the 100-cycle window ----
+    bench::banner("streaming verification — window stop (triangle, 140-cycle "
+                  "runner, 100-cycle window)");
+    {
+        const auto spec = sys::make_named_spec("triangle");
+        const auto ps = grid(spec, runs);
+        const auto nominal = sys::DelayConfig::nominal(spec);
+        Harness early{triangle_runner(spec, 140), nominal, 100};
+        Harness full{triangle_runner(spec, 140), nominal, 100};
+        full.set_early_exit(false);
+        early.capture_nominal();
+        full.capture_nominal();
+
+        // One sweep pair lasts ~0.1 s, shorter than the slow and fast
+        // phases of a shared host, so alternate five pairs and keep the
+        // median ratio.
+        std::vector<double> te, tf, speedups;
+        for (int rep = 0; rep < 5; ++rep) {
+            verify::SweepResult re, rf;
+            te.push_back(timed_sweep(early, ps, re));
+            tf.push_back(timed_sweep(full, ps, rf));
+            require_identical(re, rf, "window full-run");
+            if (!re.all_match()) {
+                std::fprintf(stderr,
+                             "bench_verify: over-running triangle sweep found "
+                             "mismatches — determinism regression\n");
+                std::exit(1);
+            }
+            speedups.push_back(tf.back() / (te.back() > 0 ? te.back() : 1e-9));
+        }
+        const auto median = [](std::vector<double> v) {
+            std::sort(v.begin(), v.end());
+            return v[v.size() / 2];
+        };
+        const double speedup = median(speedups);
+        std::printf("%12s | %9s | %9s | %s\n", "mode", "seconds", "runs/s",
+                    "result vs early-exit");
+        std::printf("%12s | %9.3f | %9.1f | (baseline)\n", "early-exit",
+                    median(te), rate(ps.size(), median(te)));
+        std::printf("%12s | %9.3f | %9.1f | bit-identical\n", "full-run",
+                    median(tf), rate(ps.size(), median(tf)));
+        std::printf("window-stop speedup vs full run: %.2fx (median of %zu "
+                    "alternating pairs)\n",
+                    speedup, speedups.size());
+        report.add("verify_window_exit_speedup", speedup, "x", 1);
     }
 
     // ---- divergent-heavy: two-flop baseline, early exit dominates ----
@@ -164,7 +219,8 @@ void run_experiment() {
 
 void BM_SweepTriangle(benchmark::State& state) {
     const auto spec = sys::make_named_spec("triangle");
-    Harness h{triangle_runner(spec), sys::DelayConfig::nominal(spec), 100};
+    Harness h{triangle_runner(spec, 100), sys::DelayConfig::nominal(spec),
+              100};
     const auto ps = grid(spec, 8);
     h.capture_nominal();
     for (auto _ : state) {

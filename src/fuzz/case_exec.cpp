@@ -51,7 +51,8 @@ bool run_bounded(sys::Soc& soc, std::uint64_t n_cycles, sim::Time deadline,
             if (sched.stop_requested()) {
                 // Cooperative early exit (streaming checker classified the
                 // run divergent): at most the event in flight ran past the
-                // mismatch.
+                // mismatch. A campaign's window stop never lands here: its
+                // window is the goal, met on the stop's own event.
                 return false;
             }
             if (sched.quiescent() || sched.next_event_time() > deadline) {

@@ -47,7 +47,8 @@ class SyncBlock final : public clk::ClockSink,
     const Kernel& kernel() const { return *kernel_; }
 
     /// Observer invoked every cycle after the kernel ran (sample phase);
-    /// used for cycle-indexed trace capture.
+    /// verify::TraceProbe uses it to close each cycle for the capture's
+    /// window stop.
     void on_cycle_observer(std::function<void(std::uint64_t)> fn) {
         observers_.push_back(std::move(fn));
     }

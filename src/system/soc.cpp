@@ -15,7 +15,7 @@ Soc::Soc(std::shared_ptr<const SocSpec> spec, verify::RunCapture* capture)
     }
     // This Soc is one run of the capture: reset its streams/arrival counter
     // (an attached StreamingChecker is kept and reset alongside) and bind
-    // the scheduler so the checker can request an early exit.
+    // the scheduler so the capture can request an early exit.
     capture_->begin_run();
     capture_->bind_scheduler(&sched_);
 

@@ -81,9 +81,14 @@ inline SweepResult merge_sweep_shards(const std::vector<SweepResult>& shards) {
 ///
 /// The runner drives one simulation *through a RunCapture* the harness
 /// provides (elaborate `sys::Soc(spec, &cap)` and run). An attached
-/// StreamingChecker classifies each run online, requests a cooperative
-/// scheduler stop at the first mismatching event, and delivers an O(#SBs)
-/// verdict for deterministic runs.
+/// StreamingChecker classifies each run online and delivers an O(#SBs)
+/// verdict for deterministic runs. With early exit on (the default), the
+/// run takes a cooperative scheduler stop at the first mismatching event,
+/// or once every SB has sampled the window's last cycle `n_cycles - 1` —
+/// so `Soc::run_cycles` returns false on either stop whenever the runner's
+/// horizon lies past the window. `baseline::BaselineSoc` records without
+/// TraceProbe and never ticks the window, so its runs stop only on
+/// divergence.
 template <typename Perturbation>
 class DeterminismHarness {
   public:
@@ -96,14 +101,19 @@ class DeterminismHarness {
           nominal_cfg_(std::move(nominal)),
           n_cycles_(n_cycles) {}
 
-    /// Disable the cooperative stop while keeping the online check: every
-    /// run simulates to its end. No result changes either way, which is
-    /// what the tests and benches that turn it off compare.
+    /// Disable both cooperative stops while keeping the online check: every
+    /// run, the nominal one included, simulates to the runner's horizon. No
+    /// result changes either way, which is what the tests and benches that
+    /// turn it off compare.
     void set_early_exit(bool on) { early_exit_ = on; }
 
-    /// Run the nominal configuration and capture the golden traces.
+    /// Run the nominal configuration and capture the golden traces. The
+    /// run has no checker; with early exit on, its capture's window stops
+    /// it once every SB has left the comparison window, since the golden
+    /// keeps only that window.
     void capture_nominal() {
         RunCapture cap;
+        if (early_exit_) cap.set_window(n_cycles_);
         runner_(nominal_cfg_, cap);
         golden_ = truncated(cap.traces(), n_cycles_);
         golden_index_ = GoldenIndex(golden_, n_cycles_);

@@ -32,15 +32,25 @@ std::size_t GoldenIndex::find(const std::string& name) const {
 
 StreamingChecker::StreamingChecker(const GoldenIndex& golden,
                                    StreamingOptions opt)
-    : golden_(&golden), opt_(opt) {}
+    : golden_(&golden),
+      opt_(opt),
+      bound_(golden.entries().size(), GoldenIndex::npos) {}
 
 StreamingChecker::~StreamingChecker() {
-    if (cap_ != nullptr && cap_->checker() == this) cap_->set_checker(nullptr);
+    if (cap_ != nullptr && cap_->checker() == this) {
+        cap_->set_checker(nullptr);
+        cap_->set_window(0);
+    }
 }
 
 void StreamingChecker::attach(RunCapture& cap) {
     cap_ = &cap;
     cap.set_checker(this);
+    arm_window();
+    begin_run();
+    for (std::size_t s = 0; s < cap.num_streams(); ++s) {
+        bind(s, cap.stream(s).sb_name());
+    }
     // Catch up on anything already captured (e.g. a warm-up prefix restored
     // into the capture before the checker subscribed), in arrival order.
     if (cap.events_captured() > 0) {
@@ -64,19 +74,25 @@ void StreamingChecker::attach(RunCapture& cap) {
     }
 }
 
-StreamingChecker::Slot& StreamingChecker::slot_at(std::size_t slot) {
-    if (slot >= slots_.size()) slots_.resize(slot + 1);
-    Slot& s = slots_[slot];
-    if (s.sb.empty()) {
-        if (cap_ == nullptr) {
-            throw std::logic_error(
-                "StreamingChecker: observe() before attach()");
-        }
-        s.sb = cap_->stream(slot).sb_name();
-        const std::size_t g = golden_->find(s.sb);
-        s.golden = g == GoldenIndex::npos ? nullptr : &golden_->entries()[g];
+void StreamingChecker::set_early_exit(bool on) {
+    opt_.early_exit = on;
+    arm_window();
+}
+
+void StreamingChecker::arm_window() {
+    if (cap_ != nullptr) {
+        cap_->set_window(opt_.early_exit ? golden_->n_cycles() : 0);
     }
-    return s;
+}
+
+void StreamingChecker::bind(std::size_t slot, const std::string& sb) {
+    if (slot >= slots_.size()) slots_.resize(slot + 1);
+    const std::size_t g = golden_->find(sb);
+    if (g == GoldenIndex::npos) return;  // SB unknown to golden: ignored
+    slots_[slot].golden = &golden_->entries()[g];
+    // A name registered twice binds its first stream, the one
+    // RunCapture::traces() keeps.
+    if (bound_[g] == GoldenIndex::npos) bound_[g] = slot;
 }
 
 void StreamingChecker::record_mismatch(MismatchLocus locus,
@@ -89,36 +105,41 @@ void StreamingChecker::record_mismatch(MismatchLocus locus,
 
 void StreamingChecker::observe(std::size_t slot, const IoEvent& e) {
     if (e.cycle >= golden_->n_cycles()) return;  // outside the window
-    Slot& s = slot_at(slot);
+    if (slot >= slots_.size()) {
+        throw std::logic_error(
+            "StreamingChecker: observe() on an unbound slot — attach() "
+            "first");
+    }
+    Slot& s = slots_[slot];
     const std::uint64_t index = s.seen;
     s.digest = fnv1a_event(s.digest, e);
     ++s.seen;
     ++checked_;
     if (diverged_) return;  // verdict already fixed at the first mismatch
     if (s.golden == nullptr) return;  // SB unknown to golden: ignored
+    const std::string& sb = s.golden->name;
     if (index >= s.golden->events.size()) {
         MismatchLocus l;
         l.kind = MismatchLocus::Kind::kExtra;
-        l.sb = s.sb;
+        l.sb = sb;
         l.index = index;
         l.actual = e;
         l.cycle = e.cycle;
         l.port = e.port;
-        record_mismatch(std::move(l), format_extra_event(s.sb, index, e));
+        record_mismatch(std::move(l), format_extra_event(sb, index, e));
         return;
     }
     const IoEvent& g = s.golden->events[static_cast<std::size_t>(index)];
     if (e != g) {
         MismatchLocus l;
         l.kind = MismatchLocus::Kind::kValue;
-        l.sb = s.sb;
+        l.sb = sb;
         l.index = index;
         l.cycle = e.cycle;
         l.port = e.port;
         l.expected = g;
         l.actual = e;
-        record_mismatch(std::move(l),
-                        format_value_mismatch(s.sb, index, g, e));
+        record_mismatch(std::move(l), format_value_mismatch(sb, index, g, e));
     }
 }
 
@@ -131,48 +152,30 @@ TraceDiff StreamingChecker::finish() const {
         return d;
     }
     // No event-level mismatch: the run is deterministic iff every golden SB
-    // produced its full event count. O(#SBs), name order (matching
-    // diff_traces' report order for the shortfall/missing cases, which have
-    // no arrival position to order by).
-    for (const auto& g : golden_->entries()) {
-        const Slot* s = nullptr;
-        for (const auto& cand : slots_) {
-            if (cand.golden == &g) {
-                s = &cand;
-                break;
-            }
+    // has a stream and produced its full event count. O(#SBs), name order
+    // (matching diff_traces' report order for the shortfall/missing cases,
+    // which have no arrival position to order by).
+    const auto& entries = golden_->entries();
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        const GoldenIndex::PerSb& g = entries[i];
+        if (bound_[i] == GoldenIndex::npos) {
+            // The run has no stream for this SB at all — missing even when
+            // its golden window is empty, as diff_traces reports it.
+            d.identical = false;
+            d.first_mismatch = format_missing_sb(g.name);
+            d.locus.kind = MismatchLocus::Kind::kMissingSb;
+            d.locus.sb = g.name;
+            return d;
         }
-        const std::uint64_t seen = s == nullptr ? 0 : s->seen;
-        if (s == nullptr && !g.events.empty()) {
-            // No slot means no in-window event ever arrived for this SB.
-            // Distinguish "the run has no such SB at all" (missing) from
-            // "the SB's stream exists but stayed empty" (shortfall) — the
-            // same split diff_traces makes on materialized traces.
-            bool stream_exists = false;
-            if (cap_ != nullptr) {
-                for (std::size_t i = 0; i < cap_->num_streams(); ++i) {
-                    if (cap_->stream(i).sb_name() == g.name) {
-                        stream_exists = true;
-                        break;
-                    }
-                }
-            }
-            if (!stream_exists) {
-                d.identical = false;
-                d.first_mismatch = format_missing_sb(g.name);
-                d.locus.kind = MismatchLocus::Kind::kMissingSb;
-                d.locus.sb = g.name;
-                return d;
-            }
-        }
-        if (seen < g.events.size()) {
+        const Slot& s = slots_[bound_[i]];
+        if (s.seen < g.events.size()) {
             d.identical = false;
             d.first_mismatch =
-                format_count_mismatch(g.name, g.events.size(), seen);
+                format_count_mismatch(g.name, g.events.size(), s.seen);
             d.locus.kind = MismatchLocus::Kind::kShortfall;
             d.locus.sb = g.name;
-            d.locus.index = seen;
-            d.locus.expected = g.events[static_cast<std::size_t>(seen)];
+            d.locus.index = s.seen;
+            d.locus.expected = g.events[static_cast<std::size_t>(s.seen)];
             d.locus.cycle = d.locus.expected->cycle;
             d.locus.port = d.locus.expected->port;
             return d;
@@ -180,7 +183,7 @@ TraceDiff StreamingChecker::finish() const {
         // Defence in depth for the O(1) claim: counts match and no
         // positional compare failed, so the rolling digest must equal the
         // precomputed golden digest — anything else is a checker bug.
-        if (s != nullptr && s->digest != g.digest) {
+        if (s.digest != g.digest) {
             throw std::logic_error(
                 "StreamingChecker: digest mismatch with per-event match on "
                 "SB '" + g.name + "' — checker bug");
@@ -191,6 +194,15 @@ TraceDiff StreamingChecker::finish() const {
 
 void StreamingChecker::begin_run() {
     slots_.clear();
+    std::fill(bound_.begin(), bound_.end(), GoldenIndex::npos);
+    rewind_run();
+}
+
+void StreamingChecker::rewind_run() {
+    for (Slot& s : slots_) {
+        s.seen = 0;
+        s.digest = kFnvOffset;
+    }
     diverged_ = false;
     checked_ = 0;
     locus_ = MismatchLocus{};

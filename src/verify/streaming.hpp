@@ -42,12 +42,16 @@ class GoldenIndex {
 };
 
 struct StreamingOptions {
-    /// On the first mismatching event, ask the bound scheduler to stop the
-    /// run at the next event boundary. Sound only where a trace divergence
-    /// is the final classification — determinism sweeps, and fault-free
-    /// campaigns; a fault campaign must keep simulating because a later
-    /// deadlock or invariant violation outranks the divergence
-    /// (fuzz::Outcome precedence).
+    /// End the run as soon as its verdict is final, through a cooperative
+    /// scheduler stop at the next event boundary. Two stops share it: on
+    /// the first mismatching event (divergence), and once every SB has
+    /// sampled the golden window's last cycle (the attached capture's
+    /// window, armed while this is on), after which no event can enter the
+    /// comparison. Sound only where the trace verdict is the final
+    /// classification — determinism sweeps, and fault-free campaigns; a
+    /// fault campaign must keep simulating because a later deadlock or
+    /// invariant violation outranks the divergence (fuzz::Outcome
+    /// precedence).
     bool early_exit = true;
 };
 
@@ -59,7 +63,9 @@ struct StreamingOptions {
 /// digest and event count matches the index, no end-of-run event scan — and
 /// a divergent run is classified at the first mismatching event *in arrival
 /// order*, at which point (early_exit) the checker requests a cooperative
-/// scheduler stop instead of simulating the remaining cycles.
+/// scheduler stop instead of simulating the remaining cycles. With early
+/// exit on, the attached capture also stops a run once every SB has left
+/// the golden window (RunCapture::set_window).
 ///
 /// This is the only way a run gets its verdict. finish()'s `identical`
 /// agrees with diff_traces over the truncated capture; where several SBs
@@ -75,8 +81,10 @@ class StreamingChecker {
     StreamingChecker& operator=(const StreamingChecker&) = delete;
 
     /// Subscribe to `cap`: every subsequent RunCapture::record forwards the
-    /// event here. Attach before the run starts (or before the events you
-    /// care about); the capture keeps the attachment across begin_run().
+    /// event here, and (early exit on) arm the capture's window at the
+    /// golden's n_cycles. Attach before the run starts (or before the
+    /// events you care about); the capture keeps the attachment across
+    /// begin_run().
     void attach(RunCapture& cap);
 
     /// Observe one captured event (called by RunCapture::record). Events at
@@ -91,20 +99,30 @@ class StreamingChecker {
     /// Flip the early-exit policy between runs. A per-worker checker reused
     /// across campaign cases needs this: early exit is sound for a
     /// fault-free case but not for one that injects faults (a later
-    /// deadlock / invariant violation outranks the divergence). Takes
-    /// effect from the next observed event; call before (or right after)
-    /// begin_run.
-    void set_early_exit(bool on) { opt_.early_exit = on; }
+    /// deadlock / invariant violation outranks the divergence). Arms or
+    /// disarms the attached capture's window; call before the run starts.
+    void set_early_exit(bool on);
     bool early_exit() const { return opt_.early_exit; }
 
     /// The verdict. Callable any time; meaningful once the run has ended
-    /// (or the early exit fired). O(#SBs) on the deterministic path.
+    /// (or the early exit fired). O(#SBs): every golden entry is bound to
+    /// its capture slot when the stream registers.
     TraceDiff finish() const;
 
-    /// Reset per-run comparison state (slots, digests, verdict), keeping
+    /// Reset per-run comparison state (counts, digests, verdict), keeping
     /// the golden index and the attachment. RunCapture::begin_run calls
-    /// this on its attached checker.
+    /// this on its attached checker; the capture's streams go with it, so
+    /// the slot bindings are dropped too.
     void begin_run();
+
+    /// begin_run for a lane rewind (RunCapture::rewind_run): the capture's
+    /// streams survive in place, and so do their slot bindings.
+    void rewind_run();
+
+    /// Bind capture stream `slot`, SB `sb`, to its golden entry
+    /// (RunCapture::add_stream calls this for every stream registered after
+    /// attach()).
+    void bind(std::size_t slot, const std::string& sb);
 
     /// Called by ~RunCapture so a checker outliving its capture does not
     /// dangle.
@@ -112,19 +130,21 @@ class StreamingChecker {
 
   private:
     struct Slot {
-        std::string sb;
         const GoldenIndex::PerSb* golden = nullptr;  ///< null: not in golden
         std::uint64_t seen = 0;  ///< in-window events observed
         std::uint64_t digest = kFnvOffset;
     };
 
-    Slot& slot_at(std::size_t slot);
+    void arm_window();
     void record_mismatch(MismatchLocus locus, std::string message);
 
     const GoldenIndex* golden_;
     StreamingOptions opt_;
-    RunCapture* cap_ = nullptr;  ///< attached capture; slot-name source
-    std::vector<Slot> slots_;
+    RunCapture* cap_ = nullptr;  ///< attached capture: stop and window
+    std::vector<Slot> slots_;    ///< one per capture stream, by slot
+    /// Per golden entry, the slot its SB's stream is bound to; npos: the run
+    /// has no such SB.
+    std::vector<std::size_t> bound_;
     bool diverged_ = false;
     std::uint64_t checked_ = 0;
     MismatchLocus locus_;

@@ -167,9 +167,17 @@ class TraceStream {
 /// streams, and — when a StreamingChecker is attached — checked online
 /// against the golden as a side effect of the same call.
 ///
+/// The capture also owns the run's success-side stop. With a comparison
+/// window of `n` cycles armed (set_window), every TraceProbe ticks the
+/// capture once per local cycle of its SB; once every stream has sampled
+/// local cycle `n - 1`, no later event can enter the comparison, so the
+/// capture asks the bound scheduler for the same cooperative stop a
+/// divergence takes.
+///
 /// A RunCapture outlives the Soc that fills it (the harness reuses one
 /// across every case of a sweep); `begin_run()` resets it for the next run
-/// while keeping the attached checker and the arena chunks warm.
+/// while keeping the attached checker, the armed window and the arena
+/// chunks warm.
 class RunCapture {
   public:
     RunCapture();  ///< backed by the calling thread's TraceArena::local()
@@ -181,15 +189,34 @@ class RunCapture {
     ~RunCapture();
 
     /// Register one SB's stream; returns its slot index (probe creation
-    /// order — identical across same-spec runs, so slots are stable).
-    std::size_t add_stream(std::string sb_name) {
-        streams_.emplace_back(std::move(sb_name), *arena_);
-        return streams_.size() - 1;
-    }
+    /// order — identical across same-spec runs, so slots are stable). An
+    /// attached checker binds the slot to its golden entry here.
+    std::size_t add_stream(std::string sb_name);
 
     /// Record one event. Hot path: stamp the arrival seq, append to the
     /// slot's stream, forward to the attached checker (if any).
     void record(std::size_t slot, const IoEvent& e);
+
+    /// Arm the comparison window: stop the run once every stream has
+    /// sampled local cycle `n_cycles - 1`. 0 disarms. An attached
+    /// StreamingChecker arms it from its golden while its early exit is on;
+    /// DeterminismHarness arms it for its checker-less nominal run. Kept
+    /// across begin_run() and rewind_run().
+    void set_window(std::uint64_t n_cycles) {
+        window_last_ = n_cycles == 0 ? kNoWindow : n_cycles - 1;
+    }
+
+    /// One SB finished sampling local cycle `cycle` (TraceProbe's per-cycle
+    /// tick; the SB's events for that cycle are recorded by then). Hot
+    /// path: one compare unless this is the window's last cycle. Local
+    /// cycles only grow within a run, so each stream ticks the last cycle at
+    /// most once; a stream restored past it never does, and its run simply
+    /// keeps going.
+    void sampled(std::uint64_t cycle) {
+        if (cycle == window_last_ && ++window_done_ == streams_.size()) {
+            request_stop();
+        }
+    }
 
     std::size_t num_streams() const { return streams_.size(); }
     const TraceStream& stream(std::size_t slot) const {
@@ -219,8 +246,8 @@ class RunCapture {
     /// kept: the lane's scheduler persists across runs.
     void rewind_run();
 
-    /// Bind the scheduler driving the run so an attached checker can
-    /// request a cooperative stop on divergence.
+    /// Bind the scheduler driving the run so the window stop and an
+    /// attached checker's divergence stop can request a cooperative stop.
     void bind_scheduler(sim::Scheduler* sched) { sched_ = sched; }
     void request_stop();
 
@@ -228,11 +255,15 @@ class RunCapture {
     StreamingChecker* checker() const { return checker_; }
 
   private:
+    static constexpr std::uint64_t kNoWindow = ~std::uint64_t{0};
+
     TraceArena* arena_;
     std::vector<TraceStream> streams_;
     std::uint64_t next_seq_ = 0;
     sim::Scheduler* sched_ = nullptr;
     StreamingChecker* checker_ = nullptr;
+    std::uint64_t window_last_ = kNoWindow;  ///< last window cycle, if armed
+    std::size_t window_done_ = 0;  ///< streams past the window this run
 };
 
 }  // namespace st::verify

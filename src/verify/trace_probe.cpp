@@ -21,6 +21,10 @@ TraceProbe::TraceProbe(core::SbWrapper& wrapper, RunCapture& capture)
                                           static_cast<std::uint32_t>(i), w});
             });
     }
+    // The SB's kernel records every event of a cycle while it samples that
+    // cycle, so the tick after it closes the cycle for the window stop.
+    wrapper.block().on_cycle_observer(
+        [cap](std::uint64_t cycle) { cap->sampled(cycle); });
 }
 
 void TraceProbe::save_state(snap::StateWriter& w) const {

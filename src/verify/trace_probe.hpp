@@ -11,7 +11,8 @@ namespace st::verify {
 /// Attaches deliver/send probes to every interface of a wrapper and records
 /// the SB's cycle-indexed I/O sequence into a RunCapture stream (arena
 /// backed; checked online when a StreamingChecker is attached to the
-/// capture).
+/// capture). It also ticks the capture once per local cycle of the SB, which
+/// drives the capture's window stop (RunCapture::sampled).
 class TraceProbe {
   public:
     TraceProbe(core::SbWrapper& wrapper, RunCapture& capture);

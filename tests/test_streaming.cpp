@@ -1,11 +1,13 @@
 // The streaming verification pipeline is the only way a run gets its
 // verdict, so two properties pin it. Early exit changes no verdict: an
 // early-exit checker and a full-run one report identical verdicts, messages,
-// loci and sweep results. And its verdicts agree with verify::diff_traces,
-// the independent name-order differ, over the same captures: every case of
-// faulted campaigns and every run of the two-flop baseline grid. Also pins
-// the early-exit bound, the zero-allocation arena reuse, the capture
-// sortedness precondition, and the scheduler stop flag.
+// loci and sweep results — for the divergence stop and for the window stop,
+// which ends a run once every SB has left the golden comparison window. And
+// its verdicts agree with verify::diff_traces, the independent name-order
+// differ, over the same captures: every case of faulted campaigns, every run
+// of the two-flop baseline grid, and hand-built goldens. Also pins the
+// early-exit bound, the zero-allocation arena reuse, the capture sortedness
+// precondition, and the scheduler stop flag.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +23,9 @@
 #include "fuzz/injector.hpp"
 #include "fuzz/repro.hpp"
 #include "gang/lane.hpp"
+#include "sim/random.hpp"
 #include "sim/scheduler.hpp"
+#include "sva/spec_text.hpp"
 #include "system/delay_config.hpp"
 #include "system/soc.hpp"
 #include "system/testbenches.hpp"
@@ -36,13 +40,20 @@ namespace {
 // Campaign cases
 // ---------------------------------------------------------------------------
 
-/// Replay `c` on `lane` exactly as fuzz::CaseRunner runs a cold campaign
-/// case, leaving the run's capture and checker on the lane to inspect.
+/// Replay `c` on `lane` exactly as fuzz::CaseRunner runs a campaign case,
+/// cold or forked from the warm-up prefix, leaving the run's capture and
+/// checker on the lane to inspect. `early_exit = false` keeps the checker's
+/// early exit off even where the campaign would turn it on.
 fuzz::RunReport replay(const fuzz::Campaign& campaign, gang::Lane& lane,
-                       const fuzz::FuzzCase& c) {
+                       const fuzz::FuzzCase& c, bool early_exit = true) {
     const fuzz::CampaignConfig& cfg = campaign.config();
-    lane.checker()->set_early_exit(cfg.classes.empty() && c.faults.empty());
-    lane.rewind();
+    lane.checker()->set_early_exit(early_exit && cfg.classes.empty() &&
+                                   c.faults.empty());
+    if (cfg.warmup_cycles > 0) {
+        lane.rewind(campaign.warmup_prefix(), campaign.warmup_prefix_plan());
+    } else {
+        lane.rewind();
+    }
     sys::Soc& soc = lane.soc();
     const fuzz::Injector injector(soc, c.faults);
     sys::apply_live(soc, c.delays);
@@ -130,6 +141,39 @@ TEST(StreamingVerdict, AgreesWithDiffTracesOnEveryFaultedCampaignCase) {
         }
         EXPECT_GT(loci_compared, 0u);
     }
+}
+
+// A golden SB whose window is empty still has to exist in the compared run:
+// diff_traces reports it missing, and so must the checker.
+TEST(StreamingVerdict, GoldenSbWithEmptyWindowMissingFromRunIsMissing) {
+    using Dir = verify::IoEvent::Dir;
+    constexpr std::uint64_t kWindow = 10;
+    verify::TraceSet golden;
+    golden["a"] =
+        verify::IoTrace{"a", {{1, Dir::kOut, 0, 7}, {4, Dir::kIn, 0, 9}}};
+    golden["x"] = verify::IoTrace{"x", {{12, Dir::kOut, 0, 1}}};  // past it
+    const verify::GoldenIndex index(golden, kWindow);
+    const verify::TraceSet window = verify::truncated(golden, kWindow);
+
+    verify::RunCapture cap;
+    verify::StreamingChecker checker(index);
+    checker.attach(cap);
+    const std::size_t a = cap.add_stream("a");
+    for (const auto& e : golden["a"].events) cap.record(a, e);
+
+    const verify::TraceDiff online = checker.finish();
+    EXPECT_FALSE(online.identical);
+    EXPECT_EQ(online.locus.kind, verify::MismatchLocus::Kind::kMissingSb);
+    EXPECT_EQ(online.locus.sb, "x");
+    EXPECT_EQ(online, verify::diff_traces(
+                          window, verify::truncated(cap.traces(), kWindow)));
+
+    // The same SB present but silent in the window matches, both ways.
+    cap.add_stream("x");
+    EXPECT_TRUE(checker.finish().identical);
+    EXPECT_EQ(checker.finish(),
+              verify::diff_traces(window,
+                                  verify::truncated(cap.traces(), kWindow)));
 }
 
 TEST(StreamingBatch, DivergentReportCarriesStructuredLocus) {
@@ -379,6 +423,233 @@ TEST(EarlyExit, FaultedCampaignCaseStillRunsToCompletion) {
     EXPECT_EQ(replay(campaign, lane, c), report);
     EXPECT_FALSE(lane.soc().scheduler().stop_requested());
     EXPECT_TRUE(lane.soc().deadlocked());
+}
+
+// ---------------------------------------------------------------------------
+// Window stop
+// ---------------------------------------------------------------------------
+
+/// What a LiveRunner saw of the run it just finished.
+struct RunSeen {
+    bool goal = false;      ///< run_cycles met its horizon
+    bool stopped = false;   ///< a cooperative stop was requested
+    std::uint64_t events = 0;
+    std::uint64_t min_cycles = 0;  ///< the slowest SB's local cycle count
+};
+
+void note(sys::Soc& soc, bool goal, RunSeen* seen) {
+    if (seen == nullptr) return;
+    seen->goal = goal;
+    seen->stopped = soc.scheduler().stop_requested();
+    seen->events = soc.scheduler().events_executed();
+    seen->min_cycles = ~0ull;
+    for (std::size_t i = 0; i < soc.num_sbs(); ++i) {
+        seen->min_cycles =
+            std::min(seen->min_cycles, soc.wrapper(i).clock().cycles());
+    }
+}
+
+/// A LiveRunner that elaborates each perturbation of `spec` and runs it to
+/// `horizon` local cycles, noting the run in `seen` (null in concurrent
+/// sweeps).
+verify::DeterminismHarness<sys::DelayConfig>::LiveRunner over_run(
+    const sys::SocSpec& spec, std::uint64_t horizon, RunSeen* seen) {
+    return [&spec, horizon, seen](const sys::DelayConfig& cfg,
+                                  verify::RunCapture& cap) {
+        sys::Soc soc(sys::apply(spec, cfg), &cap);
+        note(soc, soc.run_cycles(horizon, sim::ms(2000)), seen);
+    };
+}
+
+sys::SocSpec mesh64_fixture() {
+    std::ifstream in(std::string(ST_TESTS_DATA_DIR) + "/mesh_8x8.stspec");
+    std::stringstream text;
+    text << in.rdbuf();
+    return sva::to_spec(sva::parse_spec_text(text.str()));
+}
+
+/// Paper-style joint perturbations (st_topo --sweep): every delay from
+/// {50, 75, 150, 200}% of nominal, clocks clamped to >= 75%.
+std::vector<sys::DelayConfig> joint_perturbations(const sys::SocSpec& spec,
+                                                  std::size_t n) {
+    static constexpr unsigned kPct[4] = {50, 75, 150, 200};
+    std::vector<sys::DelayConfig> out;
+    sim::Rng rng(17);
+    const auto nominal = sys::DelayConfig::nominal(spec);
+    const std::size_t first_clock =
+        nominal.dimensions() - nominal.clock_pct.size();
+    for (std::size_t i = 0; i < n; ++i) {
+        auto cfg = nominal;
+        for (std::size_t d = 0; d < cfg.dimensions(); ++d) {
+            const unsigned pct = kPct[rng.next_below(4)];
+            cfg.set(d, d >= first_clock ? std::max(75u, pct) : pct);
+        }
+        out.push_back(cfg);
+    }
+    return out;
+}
+
+/// A runner whose horizon lies past the window: the paper's triangle at
+/// 140 against 100 cycles (bench_determinism), and a mesh-64 fixture at 130
+/// against 90 (st_topo --sweep).
+struct OverRun {
+    const char* what;
+    sys::SocSpec spec;
+    std::uint64_t window;
+    std::uint64_t horizon;
+    std::vector<sys::DelayConfig> perturbations;
+};
+
+std::vector<OverRun> over_runs() {
+    std::vector<OverRun> out;
+    const auto triangle = sys::make_named_spec("triangle");
+    out.push_back({"triangle", triangle, 100, 140,
+                   grid_perturbations(triangle)});
+    const auto mesh = mesh64_fixture();
+    out.push_back({"mesh_8x8", mesh, 90, 130, joint_perturbations(mesh, 3)});
+    return out;
+}
+
+TEST(WindowStop, OverRunningSweepsMatchFullRunAtEveryJobsValue) {
+    using Harness = verify::DeterminismHarness<sys::DelayConfig>;
+    for (const OverRun& o : over_runs()) {
+        SCOPED_TRACE(o.what);
+        const auto nominal = sys::DelayConfig::nominal(o.spec);
+        Harness early(over_run(o.spec, o.horizon, nullptr), nominal, o.window);
+        Harness full(over_run(o.spec, o.horizon, nullptr), nominal, o.window);
+        full.set_early_exit(false);
+        for (const std::size_t jobs : {1u, 2u, 4u}) {
+            const auto r = early.sweep(o.perturbations, jobs);
+            EXPECT_TRUE(r.all_match()) << "jobs " << jobs;
+            EXPECT_EQ(r, full.sweep(o.perturbations, jobs)) << "jobs " << jobs;
+        }
+
+        // Run by run: the stop fires on every matching run, after fewer
+        // events, with every SB past the window — and never without it.
+        RunSeen seen_early;
+        RunSeen seen_full;
+        Harness early1(over_run(o.spec, o.horizon, &seen_early), nominal,
+                       o.window);
+        Harness full1(over_run(o.spec, o.horizon, &seen_full), nominal,
+                      o.window);
+        full1.set_early_exit(false);
+        early1.capture_nominal();
+        full1.capture_nominal();
+        for (std::size_t i = 0; i < o.perturbations.size(); ++i) {
+            SCOPED_TRACE("run " + std::to_string(i));
+            const auto d = early1.check(o.perturbations[i]);
+            EXPECT_EQ(d, full1.check(o.perturbations[i]));
+            EXPECT_TRUE(d.identical);
+            EXPECT_TRUE(seen_early.stopped);
+            EXPECT_FALSE(seen_early.goal);
+            EXPECT_GE(seen_early.min_cycles, o.window);
+            EXPECT_LT(seen_early.events, seen_full.events);
+            EXPECT_FALSE(seen_full.stopped);
+            EXPECT_TRUE(seen_full.goal);
+        }
+    }
+}
+
+// The golden run stops at the window too, and keeps exactly what a run to
+// the horizon keeps once truncated to the window.
+TEST(WindowStop, NominalGoldenEqualsTruncatedFullHorizonRun) {
+    for (const OverRun& o : over_runs()) {
+        SCOPED_TRACE(o.what);
+        const auto nominal = sys::DelayConfig::nominal(o.spec);
+        RunSeen seen;
+        verify::DeterminismHarness<sys::DelayConfig> harness(
+            over_run(o.spec, o.horizon, &seen), nominal, o.window);
+        harness.capture_nominal();
+        EXPECT_TRUE(seen.stopped);
+        EXPECT_GE(seen.min_cycles, o.window);
+
+        sys::Soc full(sys::apply(o.spec, nominal));
+        ASSERT_TRUE(full.run_cycles(o.horizon, sim::ms(2000)));
+        EXPECT_LT(seen.events, full.scheduler().events_executed());
+        EXPECT_EQ(harness.golden(), verify::truncated(full.traces(), o.window));
+    }
+}
+
+// An SB that stalls before the window never ticks its last cycle, so the
+// run is not window-stopped: it simulates exactly as far as the full run and
+// reports the same shortfall.
+TEST(WindowStop, StalledRunNeverWindowStops) {
+    const auto spec = sys::make_named_spec("pair");
+    fuzz::Fault drop;
+    drop.cls = fuzz::FaultClass::kTokenDropWire;
+    drop.side = 1;
+    drop.nth = 2;
+    RunSeen seen;
+    const auto live = [&](bool stall, verify::RunCapture& cap) {
+        sys::Soc soc(spec, &cap);
+        const fuzz::Injector injector(
+            soc, stall ? std::vector<fuzz::Fault>{drop}
+                       : std::vector<fuzz::Fault>{});
+        note(soc, soc.run_cycles(140, sim::ms(1)), &seen);
+    };
+    verify::DeterminismHarness<bool> early(live, false, 100);
+    verify::DeterminismHarness<bool> full(live, false, 100);
+    full.set_early_exit(false);
+
+    const auto d_early = early.check(true);
+    const RunSeen stalled = seen;
+    const auto d_full = full.check(true);
+    EXPECT_FALSE(stalled.goal);
+    EXPECT_LT(stalled.min_cycles, 100u);
+    EXPECT_FALSE(stalled.stopped);
+    EXPECT_EQ(stalled.events, seen.events);
+    EXPECT_EQ(d_early.locus.kind, verify::MismatchLocus::Kind::kShortfall);
+    EXPECT_EQ(d_early, d_full);
+}
+
+// A campaign's window is its run goal, so the stop lands on the event where
+// a fault-free case already ends: reports, events included, equal the same
+// case with early exit off, cold and forked from the warm-up prefix.
+// Faulted campaigns keep early exit off and never window-stop.
+TEST(WindowStop, CampaignReportsUnchangedAndFaultedCasesNeverStop) {
+    for (const std::uint64_t warmup : {0u, 30u}) {
+        for (const bool faulted : {false, true}) {
+            SCOPED_TRACE(std::string(faulted ? "faulted" : "fault-free") +
+                         ", warm-up " + std::to_string(warmup));
+            fuzz::CampaignConfig cfg;
+            cfg.spec_name = "triangle";
+            cfg.cycles = 60;
+            cfg.warmup_cycles = warmup;
+            if (faulted) cfg.classes = fuzz::all_fault_classes();
+            const fuzz::Campaign campaign(cfg);
+            std::vector<fuzz::FuzzCase> cases;
+            std::vector<fuzz::RunReport> reports;
+            campaign.run(
+                30, 5,
+                [&](std::size_t, const fuzz::FuzzCase& c,
+                    const fuzz::RunReport& r) {
+                    cases.push_back(c);
+                    reports.push_back(r);
+                },
+                /*jobs=*/2);
+
+            gang::Lane lane(campaign.program(),
+                            {.golden = &campaign.golden_index(),
+                             .monitor = true});
+            std::size_t window_stops = 0;
+            for (std::size_t i = 0; i < cases.size(); ++i) {
+                SCOPED_TRACE("case " + std::to_string(i));
+                const fuzz::RunReport r = replay(campaign, lane, cases[i]);
+                EXPECT_EQ(r, reports[i]);
+                const bool stopped = lane.soc().scheduler().stop_requested();
+                if (faulted) {
+                    EXPECT_FALSE(stopped);
+                } else if (r.outcome == fuzz::Outcome::kDeterministic) {
+                    EXPECT_TRUE(stopped);
+                    EXPECT_TRUE(r.goal_met);
+                }
+                window_stops += stopped && !lane.checker()->diverged();
+                EXPECT_EQ(replay(campaign, lane, cases[i], false), r);
+                EXPECT_FALSE(lane.soc().scheduler().stop_requested());
+            }
+            EXPECT_EQ(window_stops > 0, !faulted);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

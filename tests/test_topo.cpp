@@ -171,7 +171,9 @@ TEST(TopoMatrix, SeedChangesTheDraw) {
 
 // The paper's §5 experiment on a generated 64-SB mesh: three joint delay
 // perturbations must replay the golden traces exactly, and the sweep
-// aggregates must be bit-identical at every worker count.
+// aggregates must be bit-identical at every worker count — simulating every
+// run to the horizon, and with the default early exit, which ends each run
+// once every SB has left the 90-cycle window.
 TEST(TopoDeterminism, Mesh64SweepMatchesAtEveryJobsValue) {
     topo::Options opt;
     opt.sbs = 64;
@@ -185,6 +187,8 @@ TEST(TopoDeterminism, Mesh64SweepMatchesAtEveryJobsValue) {
     };
     verify::DeterminismHarness<sys::DelayConfig> harness(
         run, sys::DelayConfig::nominal(spec), kCycles);
+    // Full run: every case reaches the horizon, which the runner asserts.
+    harness.set_early_exit(false);
     std::vector<sys::DelayConfig> sweep;
     for (std::uint64_t s = 1; s <= 3; ++s) {
         sweep.push_back(joint_perturbation(spec, opt.seed + s));
@@ -196,6 +200,17 @@ TEST(TopoDeterminism, Mesh64SweepMatchesAtEveryJobsValue) {
     EXPECT_EQ(r1.runs, 3u);
     EXPECT_EQ(r1, harness.sweep(sweep, 2));
     EXPECT_EQ(r1, harness.sweep(sweep, 4));
+
+    const auto window_run = [&spec](const sys::DelayConfig& cfg,
+                                    verify::RunCapture& cap) {
+        sys::Soc soc(sys::apply(spec, cfg), &cap);
+        soc.run_cycles(kCycles + 40, sim::ms(2000));
+    };
+    verify::DeterminismHarness<sys::DelayConfig> early(
+        window_run, sys::DelayConfig::nominal(spec), kCycles);
+    EXPECT_EQ(r1, early.sweep(sweep, 1));
+    EXPECT_EQ(r1, early.sweep(sweep, 2));
+    EXPECT_EQ(r1, early.sweep(sweep, 4));
 }
 
 // A perturbation outside the provisioning envelope (FIFO ripple stretched

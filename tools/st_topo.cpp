@@ -229,7 +229,9 @@ int main(int argc, char** argv) {
     if (opt.sweep_seeds > 0) {
         // Streaming sweep: each case elaborates the perturbed spec into the
         // harness's per-worker capture, whose attached checker stops the run
-        // at the first mismatching event.
+        // at the first mismatching event, or once every SB has sampled the
+        // window's last cycle — so a matching run ends at `opt.cycles`, not
+        // at the 40-cycle-longer horizon.
         const std::uint64_t horizon = opt.cycles + 40;
         const auto run = [&spec, horizon](const sys::DelayConfig& cfg,
                                           verify::RunCapture& cap) {
