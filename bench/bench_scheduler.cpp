@@ -3,11 +3,10 @@
 // (every fuzz case, determinism sweep and bench run is millions of
 // schedule/dispatch pairs).
 //
-// This PR's kernel overhaul — move-only small-buffer callbacks instead of
-// std::function, a slab/free-list event pool behind a (time, priority, seq)
-// keyed heap — is measured here, and the numbers land in
-// BENCH_scheduler.json so future PRs can track the trajectory
-// (docs/PERF.md).
+// The kernel — slab-pooled event records holding their small-buffer
+// callbacks, linked into a (time, priority, seq)-ordered timing wheel — is
+// measured on synthetic queues and on two real SoCs; the numbers land in
+// BENCH_scheduler.json (docs/PERF.md "The kernel hot path").
 
 #include <benchmark/benchmark.h>
 
@@ -16,8 +15,10 @@
 
 #include "bench_util.hpp"
 #include "sim/scheduler.hpp"
+#include "sva/spec_text.hpp"
 #include "system/soc.hpp"
 #include "system/testbenches.hpp"
+#include "topo/topo.hpp"
 
 namespace {
 
@@ -68,10 +69,10 @@ double wide_events_per_sec(std::size_t width, std::uint64_t rounds) {
     return static_cast<double>(fired) / (secs > 0 ? secs : 1e-9);
 }
 
-/// End-to-end: events/sec of a real pair-SoC run — the number every sweep
+/// End-to-end: events/sec of a real SoC run — the number every sweep
 /// workload actually multiplies.
-double soc_events_per_sec(std::uint64_t cycles) {
-    sys::Soc soc(sys::make_pair_spec());
+double soc_events_per_sec(const sys::SocSpec& spec, std::uint64_t cycles) {
+    sys::Soc soc(spec);
     const auto t0 = std::chrono::steady_clock::now();
     soc.run_cycles(cycles, sim::ms(60));
     const auto t1 = std::chrono::steady_clock::now();
@@ -84,23 +85,29 @@ void run_experiment() {
     const std::uint64_t chain_n = bench::quick_mode() ? 200'000 : 2'000'000;
     const std::uint64_t rounds = bench::quick_mode() ? 2'000 : 20'000;
     const std::uint64_t cycles = bench::quick_mode() ? 2'000 : 20'000;
+    const std::uint64_t mesh_cycles = cycles / 4;
 
     bench::banner("Scheduler kernel event throughput");
     const double chain = chain_events_per_sec(chain_n);
     const double wide64 = wide_events_per_sec(64, rounds);
     const double wide1k = wide_events_per_sec(1024, rounds / 10);
-    const double soc = soc_events_per_sec(cycles);
+    const double soc = soc_events_per_sec(sys::make_pair_spec(), cycles);
+    // The deep-queue shape: the generated mesh-64 the repo benchmark sweeps.
+    const double mesh64 = soc_events_per_sec(
+        sva::to_spec(topo::generate(topo::Options{.seed = 7})), mesh_cycles);
     std::printf("%-32s | %12.0f events/s\n", "self-rescheduling chain", chain);
     std::printf("%-32s | %12.0f events/s\n", "64-wide periodic queue", wide64);
     std::printf("%-32s | %12.0f events/s\n", "1024-wide periodic queue",
                 wide1k);
     std::printf("%-32s | %12.0f events/s\n", "pair SoC end-to-end", soc);
+    std::printf("%-32s | %12.0f events/s\n", "mesh-64 SoC end-to-end", mesh64);
 
     bench::JsonReport report("BENCH_scheduler.json");
     report.add("scheduler_chain", chain, "events/s", 1);
     report.add("scheduler_wide64", wide64, "events/s", 1);
     report.add("scheduler_wide1024", wide1k, "events/s", 1);
     report.add("scheduler_soc_pair", soc, "events/s", 1);
+    report.add("scheduler_soc_mesh64", mesh64, "events/s", 1);
     report.write();
 }
 

@@ -1,13 +1,13 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "sim/dispatch.hpp"
 #include "sim/small_fn.hpp"
 #include "sim/time.hpp"
 #include "snap/state_io.hpp"
@@ -57,15 +57,20 @@ struct RaceRecord {
 /// subject of the paper) is represented as *data*: perturbed delay values fed
 /// to the models, never hidden simulator state.
 ///
-/// **Hot path**: callbacks are stored in a move-only small-buffer type
-/// (`SmallFn`, no heap allocation for the models' capture sizes) inside
-/// pool-allocated event records. Ordering lives in `sim::DispatchCore` — the
-/// (time, priority, seq) dispatch kernel — whose packed 24-byte entries order
-/// fixed-size keys only, so sift operations never move a callback, and
-/// records return to a free list after execution: steady-state simulation
-/// performs no allocation per event. The order is byte-for-byte the same
-/// (time, priority, seq) total order as the original `std::priority_queue`
-/// kernel; golden traces are unchanged.
+/// **Hot path**: one intrusive event store. Every pending event is a slab
+/// pool record `(t, key, next, run_last, tag, callback)`; `key` packs the
+/// priority (3 bits) over the seq (61 bits), so the total order is a compare
+/// of `(t, key)`. Records within the 16.4 ns horizon sit on a timing wheel of
+/// 512 slots x 32 ps with a 512-bit occupancy bitmap; later ones wait in a
+/// small `(t, key)` heap. A slot is a list of runs, one per (t, priority),
+/// each in seq order, so a push walks the slot's runs (about one, however
+/// many events share a timestamp) and appends; a pop is a bitmap scan plus
+/// an unlink of the head, and `peek` caches the minimum until the next pop.
+/// Callbacks (`SmallFn`) are constructed in their record by `schedule_at`,
+/// invoked there, and the record returns to a free list afterwards: no
+/// per-event allocation and no callback moves. The pop order is exactly the
+/// (time, priority, seq) order of the original `std::priority_queue` kernel
+/// (docs/PERF.md "The kernel hot path").
 ///
 /// A Scheduler is confined to one thread. Run-level parallelism lives in
 /// `st::runner`, strictly *across* independent SoC instances, each owning a
@@ -89,38 +94,61 @@ class Scheduler {
     /// Current simulation time.
     Time now() const { return now_; }
 
-    /// Schedule `cb` at absolute time `t` (must be >= now()). Returns the
-    /// event's insertion sequence number — the tie-break key of the total
-    /// order. Components that participate in snapshot/restore record it so
-    /// the event can be re-armed in exactly its original slot (see rearm).
-    std::uint64_t schedule_at(Time t, Priority p, Callback cb) {
-        return schedule_at(t, p, EventTag{}, std::move(cb));
+    /// Schedule `f` (any `void()` callable, or a Callback) at absolute time
+    /// `t` (must be >= now()). Returns the event's insertion sequence number
+    /// — the tie-break key of the total order. Components that participate
+    /// in snapshot/restore record it so the event can be re-armed in exactly
+    /// its original slot (see rearm). Throws std::overflow_error once the
+    /// seq counter has left the 61-bit field of the packed key (reachable
+    /// only from a restored image whose next_seq sits at that limit).
+    template <typename F>
+    std::uint64_t schedule_at(Time t, Priority p, F&& f) {
+        return schedule_at(t, p, EventTag{}, std::forward<F>(f));
     }
 
     /// Schedule a tagged event (visible to the race audit).
-    std::uint64_t schedule_at(Time t, Priority p, EventTag tag, Callback cb);
-
-    /// Schedule `cb` `delay` picoseconds from now.
-    std::uint64_t schedule_after(Time delay, Priority p, Callback cb) {
-        return schedule_at(now_ + delay, p, std::move(cb));
+    template <typename F>
+    std::uint64_t schedule_at(Time t, Priority p, EventTag tag, F&& f) {
+        if (t < now_ || restoring_ || next_seq_ > kSeqMask) reject_schedule(t);
+        Event* ev = take_record();
+        try {
+            ev->cb.emplace(std::forward<F>(f));
+        } catch (...) {
+            release_event(ev);
+            throw;
+        }
+        const std::uint64_t seq = next_seq_++;
+        fill(ev, t, p, seq, tag);
+        link(ev);
+        return seq;
     }
 
-    std::uint64_t schedule_after(Time delay, Priority p, EventTag tag,
-                                 Callback cb) {
-        return schedule_at(now_ + delay, p, tag, std::move(cb));
+    /// Schedule `f` `delay` picoseconds from now.
+    template <typename F>
+    std::uint64_t schedule_after(Time delay, Priority p, F&& f) {
+        return schedule_at(now_ + delay, p, std::forward<F>(f));
+    }
+
+    template <typename F>
+    std::uint64_t schedule_after(Time delay, Priority p, EventTag tag, F&& f) {
+        return schedule_at(now_ + delay, p, tag, std::forward<F>(f));
     }
 
     /// Schedule with default (asynchronous-event) priority.
-    std::uint64_t schedule_after(Time delay, Callback cb) {
-        return schedule_after(delay, Priority::kDefault, std::move(cb));
+    template <typename F>
+    std::uint64_t schedule_after(Time delay, F&& f) {
+        return schedule_after(delay, Priority::kDefault, std::forward<F>(f));
     }
 
-    std::uint64_t schedule_after(Time delay, EventTag tag, Callback cb) {
+    template <typename F>
+    std::uint64_t schedule_after(Time delay, EventTag tag, F&& f) {
         return schedule_after(delay, Priority::kDefault, tag,
-                              std::move(cb));
+                              std::forward<F>(f));
     }
 
-    /// Execute the single earliest event. Returns false if the queue is empty.
+    /// Execute the single earliest event: unlink its record, run the
+    /// callback in place, then return the record to the free list (also
+    /// when the callback throws). Returns false if the queue is empty.
     bool step();
 
     /// Run until the queue is empty or simulated time would exceed `t_end`.
@@ -132,11 +160,12 @@ class Scheduler {
 
     /// True when no event is pending — with stopped clocks this means the
     /// system is quiescent (the deadlock detector builds on this).
-    bool quiescent() const { return queue_.empty(); }
+    bool quiescent() const { return pending_ == 0; }
 
     /// Time of the earliest pending event, or kNever when quiescent.
     Time next_event_time() const {
-        return queue_.empty() ? kNever : queue_.front().t;
+        const Event* m = peek();
+        return m == nullptr ? kNever : m->t;
     }
 
     /// Total events executed since construction.
@@ -189,7 +218,8 @@ class Scheduler {
     /// states in which a snapshot may be taken (mid-slot the two-phase
     /// clock-edge protocol is half-applied).
     bool at_slot_boundary() const {
-        return queue_.empty() || queue_.front().t > now_;
+        const Event* m = peek();
+        return m == nullptr || m->t > now_;
     }
 
     /// Drop every pending event, recycling the records, and clear any stop
@@ -219,6 +249,9 @@ class Scheduler {
     /// Begin a restore: load counters, then accept rearm() calls from the
     /// components' restore_state methods. schedule_at is rejected until
     /// end_restore() — restoring code must use rearm so ordering is exact.
+    /// Throws snap::SnapshotError when the image's next_seq exceeds 2^61:
+    /// every re-armed seq lies below it, so this keeps them all inside the
+    /// 61-bit seq field of the packed key.
     void begin_restore(snap::StateReader& r);
 
     /// Re-create one pending event during restore. `orig_seq` is the seq
@@ -229,8 +262,8 @@ class Scheduler {
                Callback cb);
 
     /// Finish a restore: verify the staged count matches the saved pending
-    /// count (throws snap::SnapshotError otherwise) and push the staged
-    /// events into the heap in orig_seq order.
+    /// count (throws snap::SnapshotError otherwise) and link the staged
+    /// events into the queue under their original seqs.
     void end_restore();
 
     bool restoring() const { return restoring_; }
@@ -244,17 +277,69 @@ class Scheduler {
     void clear_races() { races_.clear(); }
 
   private:
-    /// Pool-resident payload: everything the dispatch core does not need
-    /// for ordering.
+    /// One pending (or free) event. `next` links the record into its wheel
+    /// slot's list, or once released into the free list. A slot list is a
+    /// sequence of runs, the records sharing one (t, priority); only a run's
+    /// first record keeps `run_last` current.
     struct Event {
+        Time t = 0;
+        std::uint64_t key = 0;  ///< (priority << kSeqBits) | seq
+        Event* next = nullptr;
+        Event* run_last = nullptr;  ///< last record of the run this one heads
         EventTag tag;
         Callback cb;
     };
 
+    static constexpr unsigned kSeqBits = 61;
+    static constexpr std::uint64_t kSeqMask = (1ull << kSeqBits) - 1;
     static constexpr std::size_t kSlabSize = 64;
+    static constexpr unsigned kSlotShift = 5;  ///< 32 ps per wheel slot
+    static constexpr std::size_t kSlots = 512;  ///< 16.4 ns horizon
+    static constexpr std::size_t kWords = kSlots / 64;
 
-    Event* acquire_event();
-    void release_event(Event* ev);
+    static bool earlier(const Event* a, const Event* b) {
+        return a->t != b->t ? a->t < b->t : a->key < b->key;
+    }
+    static bool later(const Event* a, const Event* b) { return earlier(b, a); }
+    /// (t, priority) order: the order of runs within a slot.
+    static bool rank_less(const Event* a, const Event* b) {
+        return a->t != b->t ? a->t < b->t
+                            : (a->key >> kSeqBits) < (b->key >> kSeqBits);
+    }
+    static std::size_t slot_of(Time t) {
+        return static_cast<std::size_t>(t >> kSlotShift) % kSlots;
+    }
+
+    /// Pop from the free list, growing the pool by one slab when empty.
+    Event* take_record() {
+        if (free_ == nullptr) grow_pool();
+        Event* ev = free_;
+        free_ = ev->next;
+        return ev;
+    }
+    void release_event(Event* ev) {
+        ev->cb.reset();
+        ev->next = free_;
+        free_ = ev;
+    }
+    void grow_pool();
+    [[noreturn]] void reject_schedule(Time t) const;
+
+    static void fill(Event* ev, Time t, Priority p, std::uint64_t seq,
+                     EventTag tag) {
+        assert(seq <= kSeqMask && "Scheduler: seq overflows the packed key");
+        ev->t = t;
+        ev->key = (static_cast<std::uint64_t>(p) << kSeqBits) | seq;
+        ev->tag = tag;
+    }
+    /// Link a filled record into the queue.
+    void link(Event* ev);
+    /// Earliest pending record (cached until the next pop), or nullptr.
+    const Event* peek() const {
+        if (min_ == nullptr && pending_ != 0) min_ = find_min();
+        return min_;
+    }
+    Event* find_min() const;
     void audit_step(Time t, int priority, const EventTag& tag);
 
     /// The calling thread's slab recycle pool (see tls_pooled_slabs).
@@ -279,12 +364,17 @@ class Scheduler {
     std::uint64_t expected_pending_ = 0;
     std::vector<Staged> staged_;
 
-    DispatchCore<Event*> queue_;
-    // Slab pool: fixed-size chunks keep Event addresses stable (queue entries
-    // point into them); the free list recycles records across the whole life
-    // of the scheduler.
+    // The event store. Wheel slot `(t >> kSlotShift) % kSlots` holds the
+    // records whose tick lies within kSlots of now()'s tick; the rest wait
+    // in `far_`, a (t, key) min-heap. Slab-owned records keep stable
+    // addresses; `free_` threads the unused ones through `next`.
+    Event* slots_[kSlots] = {};
+    std::uint64_t occupied_[kWords] = {};  ///< bit s set ⇔ slots_[s] non-empty
+    std::vector<Event*> far_;
+    std::size_t pending_ = 0;
+    mutable Event* min_ = nullptr;  ///< cached earliest record, or unknown
     std::vector<std::unique_ptr<Event[]>> slabs_;
-    std::vector<Event*> free_;
+    Event* free_ = nullptr;
 
     // Race-audit state: tagged members of the (time, priority) group
     // currently executing.

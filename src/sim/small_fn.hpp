@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -30,6 +31,13 @@ class BasicSmallFn;
 /// `Scheduler::Interceptor` (`bool(const EventTag&, Time)`, the fault
 /// surface) — the latter so fault-injected campaigns keep the
 /// allocation-free hot path end to end.
+///
+/// **Trivially-copyable fast path**: almost every event callback captures
+/// only pointers and scalars, so its closure is trivially copyable. Such a
+/// callable is relocated with a fixed-size `memcpy` and dropped without a
+/// destroy call; only captures with real destructors (`shared_ptr`,
+/// `std::function`, heap spills) go through the indirect relocate/destroy
+/// hooks.
 template <typename R, typename... Args>
 class BasicSmallFn<R(Args...)> {
   public:
@@ -48,13 +56,22 @@ class BasicSmallFn<R(Args...)> {
                   !std::is_same_v<D, BasicSmallFn> &&
                   std::is_invocable_r_v<R, D&, Args...>>>
     BasicSmallFn(F&& f) {  // NOLINT(google-explicit-constructor)
-        if constexpr (fits_inline<D>()) {
-            ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-            ops_ = &kInlineOps<D>;
+        construct<D>(std::forward<F>(f));
+    }
+
+    /// Store `f` in this empty object: a callable is constructed directly in
+    /// the buffer (the scheduler builds each callback inside its event
+    /// record this way, with no intermediate object to relocate); another
+    /// BasicSmallFn is moved in.
+    template <typename F, typename D = std::decay_t<F>>
+    void emplace(F&& f) noexcept(std::is_same_v<D, BasicSmallFn> ||
+                                 (fits_inline<D>() &&
+                                  std::is_nothrow_constructible_v<D, F&&>)) {
+        assert(ops_ == nullptr && "BasicSmallFn: emplace into a live callback");
+        if constexpr (std::is_same_v<D, BasicSmallFn>) {
+            *this = std::forward<F>(f);
         } else {
-            using P = D*;
-            ::new (static_cast<void*>(buf_)) P(new D(std::forward<F>(f)));
-            ops_ = &kHeapOps<D>;
+            construct<D>(std::forward<F>(f));
         }
     }
 
@@ -84,7 +101,7 @@ class BasicSmallFn<R(Args...)> {
     /// Drop the stored callable (if any), leaving *this empty.
     void reset() noexcept {
         if (ops_ != nullptr) {
-            ops_->destroy(buf_);
+            if (ops_->destroy != nullptr) ops_->destroy(buf_);
             ops_ = nullptr;
         }
     }
@@ -100,20 +117,50 @@ class BasicSmallFn<R(Args...)> {
     /// a build error, not a silent per-event heap allocation.
     template <typename D>
     static constexpr bool fits_inline() {
-        return sizeof(D) <= kInlineSize &&
-               alignof(D) <= alignof(std::max_align_t) &&
+        return sizeof(D) <= kInlineSize && alignof(D) <= kInlineAlign &&
                std::is_nothrow_move_constructible_v<D>;
     }
 
   private:
+    /// Pointer alignment keeps the object at 56 bytes, so a scheduler event
+    /// record (queue links + tag + callback) packs into 104. Captures are
+    /// pointers and scalars; an over-aligned one takes the heap path.
+    static constexpr std::size_t kInlineAlign = alignof(void*);
+
     struct Ops {
         R (*invoke)(void*, Args&&...);
         /// Move-construct the callable into `dst` from `src`, destroying the
         /// `src` copy. Must not throw: relocation happens inside move ctors.
+        /// Null for trivially-copyable inline callables (memcpy relocation).
         void (*relocate)(void* dst, void* src) noexcept;
+        /// Null for trivially-copyable inline callables (nothing to destroy).
         void (*destroy)(void*) noexcept;
         bool inline_storage;
     };
+
+    template <typename D, typename F>
+    void construct(F&& f) {
+        if constexpr (fits_inline<D>()) {
+            ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+            ops_ = &kInlineOps<D>;
+        } else {
+            using P = D*;
+            ::new (static_cast<void*>(buf_)) P(new D(std::forward<F>(f)));
+            ops_ = &kHeapOps<D>;
+        }
+    }
+
+    template <typename D>
+    static void relocate_inline(void* dst, void* src) noexcept {
+        D* s = std::launder(reinterpret_cast<D*>(src));
+        ::new (dst) D(std::move(*s));
+        s->~D();
+    }
+
+    template <typename D>
+    static void destroy_inline(void* p) noexcept {
+        std::launder(reinterpret_cast<D*>(p))->~D();
+    }
 
     template <typename D>
     static constexpr Ops kInlineOps = {
@@ -121,12 +168,8 @@ class BasicSmallFn<R(Args...)> {
             return (*std::launder(reinterpret_cast<D*>(p)))(
                 std::forward<Args>(args)...);
         },
-        [](void* dst, void* src) noexcept {
-            D* s = std::launder(reinterpret_cast<D*>(src));
-            ::new (dst) D(std::move(*s));
-            s->~D();
-        },
-        [](void* p) noexcept { std::launder(reinterpret_cast<D*>(p))->~D(); },
+        std::is_trivially_copyable_v<D> ? nullptr : &relocate_inline<D>,
+        std::is_trivially_copyable_v<D> ? nullptr : &destroy_inline<D>,
         true,
     };
 
@@ -149,12 +192,18 @@ class BasicSmallFn<R(Args...)> {
     void steal(BasicSmallFn& other) noexcept {
         if (other.ops_ != nullptr) {
             ops_ = other.ops_;
-            ops_->relocate(buf_, other.buf_);
+            if (ops_->relocate != nullptr) {
+                ops_->relocate(buf_, other.buf_);
+            } else {
+                std::memcpy(buf_, other.buf_, kInlineSize);
+            }
             other.ops_ = nullptr;
         }
     }
 
-    alignas(std::max_align_t) unsigned char buf_[kInlineSize];
+    // Zero-initialised so the fixed-size memcpy in steal() never reads
+    // indeterminate bytes past a small callable.
+    alignas(kInlineAlign) unsigned char buf_[kInlineSize] = {};
     const Ops* ops_ = nullptr;
 };
 

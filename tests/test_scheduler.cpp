@@ -1,14 +1,25 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <functional>
 #include <memory>
+#include <set>
+#include <stdexcept>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
 #include "sim/wire.hpp"
+#include "snap/state_io.hpp"
+#include "sva/spec_text.hpp"
+#include "system/soc.hpp"
+#include "system/testbenches.hpp"
+#include "topo/topo.hpp"
 
 namespace st::sim {
 namespace {
@@ -42,6 +53,37 @@ TEST(Scheduler, SameTimeOrderedByPriorityThenInsertion) {
     s.schedule_at(5, Priority::kCommit, [&] { order.push_back(1); });
     s.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(Scheduler, DenseSlotFanOutKeepsStrictOrder) {
+    // Hundreds of events share three timestamps inside one 32 ps wheel slot,
+    // with times and priorities interleaved, and every clock edge commits at
+    // its own timestamp while later edges are still pending, as a 1024-SB
+    // clock fan-out does. Execution must follow the strict (t, priority,
+    // seq) order.
+    using Key = std::tuple<Time, int, std::uint64_t>;
+    Scheduler s;
+    std::uint64_t issued = 0;
+    std::vector<Key> ran;
+    std::function<void(Time, Priority, bool)> add = [&](Time t, Priority p,
+                                                        bool edge) {
+        const Key key{t, static_cast<int>(p), issued++};
+        EXPECT_EQ(s.schedule_at(t, p,
+                                [&, key, edge] {
+                                    ran.push_back(key);
+                                    if (edge) {
+                                        add(s.now(), Priority::kCommit, false);
+                                    }
+                                }),
+                  std::get<2>(key));
+    };
+    for (int i = 0; i < 600; ++i) {
+        const auto p = static_cast<Priority>(i * 7 % 5);
+        add(64 + static_cast<Time>(i % 3) * 13, p, p == Priority::kClockEdge);
+    }
+    s.run();
+    EXPECT_EQ(ran.size(), 720u);
+    EXPECT_TRUE(std::is_sorted(ran.begin(), ran.end()));
 }
 
 TEST(Scheduler, RejectsEventsInThePast) {
@@ -362,6 +404,386 @@ TEST(Scheduler, DroppedEventsReleaseTheirCallbacks) {
     s.run();
     EXPECT_EQ(s.events_dropped(), 1u);
     EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(Scheduler, ThrowingCallbackReturnsItsRecord) {
+    // The callback runs in place in its record; a throw must still hand the
+    // record back (and drop its capture) and leave the queue runnable.
+    Scheduler s;
+    const auto token = std::make_shared<int>(1);
+    int ran = 0;
+    for (int round = 0; round < 1000; ++round) {
+        s.schedule_after(1, [token] { throw std::runtime_error("boom"); });
+        s.schedule_after(2, [&ran] { ++ran; });
+        EXPECT_THROW(s.run(), std::runtime_error);
+        EXPECT_EQ(s.run(), 1u);
+    }
+    EXPECT_EQ(ran, 1000);
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_TRUE(s.quiescent());
+    EXPECT_EQ(s.pool_capacity(), 64u);
+}
+
+/// Counts destructions of live (not moved-from) instances; its move
+/// constructor keeps it off SmallFn's trivially-copyable fast path.
+struct CountedCapture {
+    int* destroyed;
+    std::shared_ptr<int> token;
+    bool live = true;
+    CountedCapture(int* d, std::shared_ptr<int> t)
+        : destroyed(d), token(std::move(t)) {}
+    CountedCapture(CountedCapture&& o) noexcept
+        : destroyed(o.destroyed), token(std::move(o.token)) {
+        o.live = false;
+    }
+    ~CountedCapture() {
+        if (live) ++*destroyed;
+    }
+    void operator()() const {}
+};
+
+TEST(Scheduler, PendingCapturesAreDestroyedExactlyOnce) {
+    int destroyed = 0;
+    const auto token = std::make_shared<int>(1);
+    {
+        Scheduler s;
+        // Delays spread over the wheel and past its horizon (the far heap).
+        for (int i = 0; i < 100; ++i) {
+            s.schedule_after(1 + static_cast<Time>(i) * 997,
+                             CountedCapture(&destroyed, token));
+        }
+        EXPECT_EQ(destroyed, 0);
+        EXPECT_EQ(token.use_count(), 101);
+        s.clear_pending();
+        EXPECT_EQ(destroyed, 100);
+        EXPECT_EQ(token.use_count(), 1);
+
+        for (int i = 0; i < 10; ++i) {
+            s.schedule_after(1 + static_cast<Time>(i),
+                             CountedCapture(&destroyed, token));
+        }
+        s.run();
+        EXPECT_EQ(destroyed, 110);
+
+        for (int i = 0; i < 50; ++i) {
+            s.schedule_after(1 + static_cast<Time>(i) * 1999,
+                             CountedCapture(&destroyed, token));
+        }
+        EXPECT_EQ(token.use_count(), 51);
+    }
+    EXPECT_EQ(destroyed, 160);
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(SmallFn, TriviallyCopyableCallablesRelocateByCopy) {
+    int hits = 0;
+    auto hop = [&hits, k = 3] { hits += k; };
+    static_assert(std::is_trivially_copyable_v<decltype(hop)>);
+    SmallFn a(hop);
+    SmallFn b(std::move(a));
+    EXPECT_FALSE(a);
+    SmallFn c;
+    c = std::move(b);
+    EXPECT_FALSE(b);
+    ASSERT_TRUE(c.is_inline());
+    c();
+    EXPECT_EQ(hits, 3);
+    c.reset();
+    EXPECT_FALSE(c);
+}
+
+// --- restore of a crafted `sched` chunk ---
+
+/// A `sched` chunk as Scheduler::save_state writes it.
+std::vector<std::uint8_t> sched_chunk(Time now, std::uint64_t next_seq,
+                                      std::uint64_t pending) {
+    snap::StateWriter w;
+    w.begin("sched");
+    w.u64(now);
+    w.u64(next_seq);
+    w.u64(0);  // executed
+    w.u64(0);  // dropped
+    w.u64(pending);
+    w.end();
+    return w.take();
+}
+
+/// Restore two events at t = 10 — a clock edge with seq `edge_seq` and a
+/// commit with seq 5 — from a chunk claiming `next_seq`, run them, and
+/// return the order they executed in. Throws what begin_restore throws.
+std::vector<std::string> restore_edge_and_commit(std::uint64_t next_seq,
+                                                 std::uint64_t edge_seq) {
+    std::vector<std::string> order;
+    Scheduler s;
+    const auto image = sched_chunk(0, next_seq, 2);
+    snap::StateReader r(image);
+    s.begin_restore(r);
+    s.rearm(10, Priority::kClockEdge, EventTag{}, edge_seq,
+            [&order] { order.push_back("edge"); });
+    s.rearm(10, Priority::kCommit, EventTag{}, 5,
+            [&order] { order.push_back("commit"); });
+    s.end_restore();
+    s.run();
+    return order;
+}
+
+TEST(SchedulerRestore, RejectsNextSeqOverflowingThePackedKey) {
+    // A seq past 61 bits would spill into the packed priority field and
+    // reorder the slot (the commit ran before the clock edge). Every
+    // re-armed seq lies below next_seq, so bounding next_seq bounds them.
+    constexpr std::uint64_t kLimit = 1ull << 61;
+    EXPECT_THROW(restore_edge_and_commit((1ull << 62) + 10, (1ull << 62) + 1),
+                 snap::SnapshotError);
+    EXPECT_THROW(restore_edge_and_commit(kLimit + 1, kLimit),
+                 snap::SnapshotError);
+    EXPECT_EQ(restore_edge_and_commit(kLimit, kLimit - 1),
+              (std::vector<std::string>{"edge", "commit"}));
+
+    // An image at the limit is valid, but its counter has no seq left to
+    // issue: the next schedule throws instead of packing seq 2^61 into the
+    // priority field, and the restored events still run.
+    {
+        Scheduler at_limit;
+        const auto image = sched_chunk(0, kLimit, 1);
+        snap::StateReader r(image);
+        at_limit.begin_restore(r);
+        int ran = 0;
+        at_limit.rearm(10, Priority::kCommit, EventTag{}, kLimit - 1,
+                       [&ran] { ++ran; });
+        at_limit.end_restore();
+        EXPECT_THROW(at_limit.schedule_after(1, Priority::kClockEdge, [] {}),
+                     std::overflow_error);
+        EXPECT_EQ(at_limit.run(), 1u);
+        EXPECT_EQ(ran, 1);
+        EXPECT_THROW(at_limit.schedule_after(1, [] {}), std::overflow_error);
+    }
+
+    // A rejected chunk leaves the scheduler untouched and not restoring.
+    Scheduler s;
+    s.schedule_after(7, [] {});
+    s.run();
+    const auto image = sched_chunk(100, (1ull << 62) + 10, 0);
+    snap::StateReader r(image);
+    EXPECT_THROW(s.begin_restore(r), snap::SnapshotError);
+    EXPECT_FALSE(s.restoring());
+    EXPECT_EQ(s.now(), 7u);
+    EXPECT_EQ(s.schedule_after(1, [] {}), 1u);
+}
+
+// --- differential order check against a reference ordered set ---
+
+/// Drives one Scheduler with a seeded random program and mirrors every
+/// schedule into a reference std::set of (t, priority, seq). Each callback
+/// logs its own key and pops the reference's minimum, so equal logs mean the
+/// kernel executed exactly the reference's strict (t, priority, seq) order.
+class OrderModel {
+  public:
+    using Key = std::tuple<Time, int, std::uint64_t>;
+
+    explicit OrderModel(std::uint64_t seed) : rng_(seed) {}
+
+    void run_program(int ops) {
+        for (int op = 0; op < ops; ++op) {
+            // Also primes the cached minimum, so the pushes below exercise
+            // its update path and the steps its consumption.
+            ASSERT_EQ(s_->next_event_time(),
+                      ref_.empty() ? kNever : std::get<0>(*ref_.begin()));
+            const auto pick = rng_.next_below(20);
+            if (pick < 8) {
+                schedule(s_->now() + draw_delay(), draw_priority());
+            } else if (pick < 14) {
+                const bool any = !ref_.empty();
+                EXPECT_EQ(s_->step(), any);
+            } else if (pick < 17) {
+                jump();
+            } else if (pick < 18) {
+                if (rng_.next_below(4) == 0) {
+                    s_->clear_pending();
+                    ref_.clear();
+                    ++cleared_;
+                }
+            } else {
+                if (rng_.next_below(3) == 0) save_and_restore();
+            }
+        }
+        s_->run();
+        EXPECT_TRUE(ref_.empty());
+        EXPECT_TRUE(s_->quiescent());
+        EXPECT_EQ(got_, want_);
+        EXPECT_EQ(s_->events_executed(), got_.size());
+    }
+
+    // Coverage of the program's features, summed over a run.
+    std::uint64_t far_pushes = 0;      ///< delays past the wheel horizon
+    std::uint64_t follow_ups = 0;      ///< zero-delay pushes from callbacks
+    std::uint64_t idle_jumps = 0;      ///< run_until that moved now() only
+    std::uint64_t restores = 0;
+    std::uint64_t cleared() const { return cleared_; }
+    std::size_t executed() const { return got_.size(); }
+
+  private:
+    struct Fire {
+        OrderModel* m;
+        Key key;
+        void operator()() const { m->fire(key); }
+    };
+
+    Time draw_delay() {
+        switch (rng_.next_below(7)) {
+            case 0:
+                return 0;
+            case 1:
+                return rng_.next_in(1, 31);  // within one 32 ps slot
+            case 2:
+                return rng_.next_in(32, 3000);  // crosses slots
+            case 3:
+                return rng_.next_in(15'000, 17'000);  // around the horizon
+            case 4:
+                ++far_pushes;
+                return rng_.next_in(17'000, 200'000);  // past it
+            case 5:
+                ++far_pushes;
+                return ms(rng_.next_in(1, 3));
+            default:
+                return rng_.next_in(1, 700);
+        }
+    }
+
+    Priority draw_priority() {
+        return static_cast<Priority>(rng_.next_below(5));
+    }
+
+    void schedule(Time t, Priority p) {
+        const Key key{t, static_cast<int>(p), next_seq_++};
+        EXPECT_EQ(s_->schedule_at(t, p, Fire{this, key}), std::get<2>(key));
+        ref_.insert(key);
+    }
+
+    void fire(const Key& key) {
+        EXPECT_EQ(s_->now(), std::get<0>(key));
+        got_.push_back(key);
+        want_.push_back(*ref_.begin());
+        ref_.erase(ref_.begin());
+        if (rng_.next_below(3) == 0) {
+            const auto n = rng_.next_in(1, 3);
+            for (std::uint64_t i = 0; i < n; ++i) {
+                ++follow_ups;
+                schedule(s_->now(), draw_priority());
+            }
+        } else if (rng_.next_below(4) == 0) {
+            schedule(s_->now() + draw_delay(), draw_priority());
+        }
+    }
+
+    void jump() {
+        const Time t_end = s_->now() + draw_delay();
+        const bool idle = ref_.empty() || std::get<0>(*ref_.begin()) > t_end;
+        s_->run_until(t_end);
+        EXPECT_EQ(s_->now(), t_end);
+        if (!ref_.empty()) {
+            EXPECT_GT(std::get<0>(*ref_.begin()), t_end);
+        }
+        if (idle) ++idle_jumps;
+    }
+
+    void save_and_restore() {
+        s_->settle();
+        snap::StateWriter w;
+        s_->save_state(w);
+        const auto image = w.take();
+        const Time now = s_->now();
+        std::vector<Key> pending(ref_.begin(), ref_.end());
+        for (std::size_t i = pending.size(); i > 1; --i) {
+            std::swap(pending[i - 1], pending[rng_.next_below(i)]);
+        }
+        if (rng_.next_below(2) == 0) {
+            s_ = std::make_unique<Scheduler>();  // counters come from the image
+        } else {
+            s_->clear_pending();
+        }
+        snap::StateReader r(image);
+        s_->begin_restore(r);
+        for (const Key& k : pending) {
+            s_->rearm(std::get<0>(k), static_cast<Priority>(std::get<1>(k)),
+                      EventTag{}, std::get<2>(k), Fire{this, k});
+        }
+        s_->end_restore();
+        EXPECT_EQ(s_->now(), now);
+        ++restores;
+    }
+
+    Rng rng_;
+    std::unique_ptr<Scheduler> s_ = std::make_unique<Scheduler>();
+    std::set<Key> ref_;
+    std::uint64_t next_seq_ = 0;
+    std::uint64_t cleared_ = 0;
+    std::vector<Key> got_;
+    std::vector<Key> want_;
+};
+
+TEST(SchedulerDifferential, RandomProgramsMatchReferenceOrder) {
+    std::uint64_t far = 0, follow = 0, idle = 0, restores = 0, cleared = 0;
+    std::size_t executed = 0;
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        SCOPED_TRACE(seed);
+        OrderModel m(seed);
+        m.run_program(3000);
+        far += m.far_pushes;
+        follow += m.follow_ups;
+        idle += m.idle_jumps;
+        restores += m.restores;
+        cleared += m.cleared();
+        executed += m.executed();
+    }
+    // The programs really exercised each feature.
+    EXPECT_GT(far, 1000u);
+    EXPECT_GT(follow, 1000u);
+    EXPECT_GT(idle, 50u);
+    EXPECT_GT(restores, 50u);
+    EXPECT_GT(cleared, 10u);
+    EXPECT_GT(executed, 20'000u);
+}
+
+// --- simulated statistics the kernel must not move ---
+
+/// Run `spec` for 100 cycles, settle, and return the executed event count
+/// and the Soc snapshot digest. The digest covers the scheduler's now,
+/// next_seq, executed and pending count, and every component's pending
+/// (time, seq), so any change to seq numbering or event counts moves it.
+std::pair<std::uint64_t, std::uint64_t> run_100_cycles(
+    const sys::SocSpec& spec) {
+    sys::Soc soc(spec);
+    soc.run_cycles(100, ms(100));
+    soc.scheduler().settle();
+    return {soc.scheduler().events_executed(), soc.state_digest()};
+}
+
+TEST(SchedulerPinned, EventCountsAndDigestsOfShippedSpecsAndMesh64) {
+    struct Pinned {
+        const char* name;
+        std::uint64_t events;
+        std::uint64_t digest;
+    };
+    const Pinned pinned[] = {
+        {"pair", 1155u, 17382671515026041920u},
+        {"triangle", 1990u, 14538496620827697012u},
+        {"chain", 1547u, 12726150403732941853u},
+        {"mesh", 6379u, 13319070588134628880u},
+        {"wide", 1272u, 16414990253365413255u},
+        {"bus", 1720u, 8659339811290375720u},
+        {"mesh64", 40415u, 13576866857557722258u},  // topo::generate seed 7
+    };
+    ASSERT_EQ(std::size(pinned), sys::named_specs().size() + 1);
+    for (const Pinned& p : pinned) {
+        SCOPED_TRACE(p.name);
+        const std::string name = p.name;
+        const auto [events, digest] = run_100_cycles(
+            name == "mesh64"
+                ? sva::to_spec(topo::generate(topo::Options{.seed = 7}))
+                : sys::make_named_spec(name));
+        EXPECT_EQ(events, p.events);
+        EXPECT_EQ(digest, p.digest);
+    }
 }
 
 TEST(Rng, DeterministicFromSeedAndUnbiasedBounds) {
