@@ -69,16 +69,28 @@ double wide_events_per_sec(std::size_t width, std::uint64_t rounds) {
     return static_cast<double>(fired) / (secs > 0 ? secs : 1e-9);
 }
 
-/// End-to-end: events/sec of a real SoC run — the number every sweep
-/// workload actually multiplies.
-double soc_events_per_sec(const sys::SocSpec& spec, std::uint64_t cycles) {
+struct SocRate {
+    double events_per_sec = 0;     ///< kernel throughput
+    double sb_cycles_per_sec = 0;  ///< simulation throughput
+};
+
+/// End-to-end: one real SoC run, as events/s and as SB-cycles/s. The
+/// second is the number every sweep workload actually multiplies; events/s
+/// falls when two events merge into one heavier event even as the run gets
+/// faster.
+SocRate soc_rate(const sys::SocSpec& spec, std::uint64_t cycles) {
     sys::Soc soc(spec);
     const auto t0 = std::chrono::steady_clock::now();
     soc.run_cycles(cycles, sim::ms(60));
     const auto t1 = std::chrono::steady_clock::now();
-    const double secs = std::chrono::duration<double>(t1 - t0).count();
-    return static_cast<double>(soc.scheduler().events_executed()) /
-           (secs > 0 ? secs : 1e-9);
+    double secs = std::chrono::duration<double>(t1 - t0).count();
+    if (secs <= 0) secs = 1e-9;
+    std::uint64_t sb_cycles = 0;
+    for (std::size_t i = 0; i < soc.num_sbs(); ++i) {
+        sb_cycles += soc.wrapper(i).clock().cycles();
+    }
+    return {static_cast<double>(soc.scheduler().events_executed()) / secs,
+            static_cast<double>(sb_cycles) / secs};
 }
 
 void run_experiment() {
@@ -91,23 +103,31 @@ void run_experiment() {
     const double chain = chain_events_per_sec(chain_n);
     const double wide64 = wide_events_per_sec(64, rounds);
     const double wide1k = wide_events_per_sec(1024, rounds / 10);
-    const double soc = soc_events_per_sec(sys::make_pair_spec(), cycles);
+    const SocRate soc = soc_rate(sys::make_pair_spec(), cycles);
     // The deep-queue shape: the generated mesh-64 the repo benchmark sweeps.
-    const double mesh64 = soc_events_per_sec(
+    const SocRate mesh64 = soc_rate(
         sva::to_spec(topo::generate(topo::Options{.seed = 7})), mesh_cycles);
     std::printf("%-32s | %12.0f events/s\n", "self-rescheduling chain", chain);
     std::printf("%-32s | %12.0f events/s\n", "64-wide periodic queue", wide64);
     std::printf("%-32s | %12.0f events/s\n", "1024-wide periodic queue",
                 wide1k);
-    std::printf("%-32s | %12.0f events/s\n", "pair SoC end-to-end", soc);
-    std::printf("%-32s | %12.0f events/s\n", "mesh-64 SoC end-to-end", mesh64);
+    std::printf("%-32s | %12.0f events/s | %10.0f SB-cycles/s\n",
+                "pair SoC end-to-end", soc.events_per_sec,
+                soc.sb_cycles_per_sec);
+    std::printf("%-32s | %12.0f events/s | %10.0f SB-cycles/s\n",
+                "mesh-64 SoC end-to-end", mesh64.events_per_sec,
+                mesh64.sb_cycles_per_sec);
 
     bench::JsonReport report("BENCH_scheduler.json");
     report.add("scheduler_chain", chain, "events/s", 1);
     report.add("scheduler_wide64", wide64, "events/s", 1);
     report.add("scheduler_wide1024", wide1k, "events/s", 1);
-    report.add("scheduler_soc_pair", soc, "events/s", 1);
-    report.add("scheduler_soc_mesh64", mesh64, "events/s", 1);
+    report.add("scheduler_soc_pair", soc.events_per_sec, "events/s", 1);
+    report.add("scheduler_soc_mesh64", mesh64.events_per_sec, "events/s", 1);
+    report.add("scheduler_soc_pair_cycles", soc.sb_cycles_per_sec,
+               "SB-cycles/s", 1);
+    report.add("scheduler_soc_mesh64_cycles", mesh64.sb_cycles_per_sec,
+               "SB-cycles/s", 1);
     report.write();
 }
 

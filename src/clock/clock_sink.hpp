@@ -11,7 +11,10 @@ namespace st::clk {
 /// then every sink `commit()`s (updates its own registered state). This
 /// models flip-flop simultaneity: no sink ever observes another sink's
 /// same-edge update during sample, so registration order cannot change
-/// behaviour.
+/// behaviour. Across clocks a sink acts only through scheduled events
+/// (handshakes, FIFO ripples, token flights) or, in commit, on state no sink
+/// samples (STARI's FIFO); an enable reads only its own clock's sinks. So
+/// coincident edges commute, and a StoppableClock edge can be one event.
 class ClockSink {
   public:
     virtual ~ClockSink() = default;

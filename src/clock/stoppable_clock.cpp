@@ -53,29 +53,22 @@ void StoppableClock::edge() {
     const std::uint64_t cycle = cycles_++;
     const sim::Time t = sched_.now();
 
-    // Phase 1: all sinks sample registered state.
+    // Sample, commit, then the enable decision, all in this one event: a
+    // coincident edge of another clock cannot tell (ClockSink).
     for (auto* s : sinks_) s->sample(cycle);
+    for (auto* s : sinks_) s->commit(cycle);
 
-    // Phase 2: all sinks commit new state.
-    sched_.schedule_at(t, sim::Priority::kCommit,
-                       sim::EventTag{this, "clock.commit"}, [this, cycle] {
-        for (auto* s : sinks_) s->commit(cycle);
-    });
-
-    // Phase 3: evaluate the (now committed) enable and decide whether the
-    // ring oscillator produces another edge.
-    sched_.schedule_at(t, sim::Priority::kPostCommit,
-                       sim::EventTag{this, "clock.gate"}, [this, t] {
-        if (halted_) return;
-        const bool enabled = !enable_fn_ || enable_fn_();
-        if (enabled) {
+    // The (now committed) enable decides whether the ring oscillator
+    // produces another edge.
+    if (!halted_) {
+        if (!enable_fn_ || enable_fn_()) {
             schedule_edge(t + effective_period());
         } else {
             stopped_ = true;
             stop_began_ = t;
             ++stop_events_;
         }
-    });
+    }
 
     // Monitors observe the fully settled post-edge state.
     if (!edge_observers_.empty()) {

@@ -15,9 +15,10 @@ namespace st::clk {
 ///
 /// Semantics (paper §2, Chapiro's escapement organization):
 ///  * the enable is evaluated *synchronously*, once per edge, after all
-///    clocked processes have committed — a deasserted enable means the next
-///    edge is simply never generated ("the clock enable interrupts the ring
-///    oscillator instead of gating its output"),
+///    clocked processes have committed, in the edge's one event (ClockSink)
+///    — a deasserted enable means the next edge is simply never generated
+///    ("the clock enable interrupts the ring oscillator instead of gating
+///    its output"),
 ///  * `async_restart()` restarts a stopped clock asynchronously with a
 ///    configurable restart latency; because only full edges are modelled the
 ///    restart is runt-pulse-free by construction,
@@ -92,8 +93,7 @@ class StoppableClock : public snap::Snapshottable {
 
     /// Snapshot: full register state plus the fire slot of the pending
     /// edge event (if any), which restore_state re-arms. Taken only at
-    /// slot boundaries, so the same-time commit/gate/monitor events are
-    /// never in flight.
+    /// slot boundaries, so the same-time monitor event is never in flight.
     void save_state(snap::StateWriter& w) const override;
     void restore_state(snap::StateReader& r) override;
 

@@ -71,7 +71,7 @@ class Driver {
                           sim::Time deadline);
 
     /// Execute up to `n` scheduler events, then settle to a slot boundary.
-    /// Returns events actually executed (less than `n` when quiescent).
+    /// Returns events executed (< `n` when quiescent); an edge is one event.
     std::uint64_t step(std::uint64_t n);
 
     // --- observation ---

@@ -59,7 +59,8 @@ struct CampaignConfig {
     /// Local-cycle comparison window per SB (the paper monitors the first
     /// 100 local cycles of each block).
     std::uint64_t cycles = 100;
-    /// Livelock watchdog: per-run scheduler event budget.
+    /// Livelock watchdog: per-run scheduler event budget (~1.4x more cycles
+    /// since a clock edge became one event instead of three).
     std::uint64_t max_events = 2'000'000;
     /// Fault classes eligible for random cases; empty = fault-free campaign
     /// (pure delay perturbation, the paper's §5 experiment).

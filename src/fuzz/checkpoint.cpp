@@ -7,6 +7,8 @@ namespace st::fuzz {
 
 namespace {
 
+constexpr std::uint16_t kProgressVersion = 2;  // 1: three events per edge
+
 /// Read one enum byte, rejecting any value at or past `count`: a byte this
 /// build defines no enumerator for.
 template <typename E>
@@ -161,7 +163,7 @@ CampaignKey make_campaign_key(const CampaignConfig& cfg, std::uint64_t seed,
 
 snap::Snapshot encode_progress(const CampaignProgress& p) {
     snap::StateWriter w;
-    w.begin_group("stcampaign");
+    w.begin_group("stcampaign", kProgressVersion);
 
     w.begin("key");
     w.str(p.key.spec_name);
@@ -211,7 +213,9 @@ snap::Snapshot encode_progress(const CampaignProgress& p) {
 CampaignProgress decode_progress(const snap::Snapshot& snap) {
     CampaignProgress p;
     snap::StateReader r(snap.bytes());
-    r.enter("stcampaign");
+    if (r.enter("stcampaign", kProgressVersion) < kProgressVersion) {
+        throw snap::SnapshotError("campaign progress image is version 1");
+    }
 
     r.enter("key");
     p.key.spec_name = r.str();

@@ -49,11 +49,11 @@ struct CampaignProgress {
 };
 
 /// Encode/decode a progress image in the snap chunk format (one
-/// "stcampaign" group, currently version 1). decode rejects images whose
-/// chunk versions are newer than this build understands (snap::StateReader
-/// version discipline) and throws snap::SnapshotError with a clear message
-/// on any structural mismatch, on an enum byte this build defines no value
-/// for, and on a key from a campaign mode this build no longer runs. No
+/// "stcampaign" group, version 2). decode refuses version 1, whose reports
+/// count three events per clock edge, and chunk versions newer than this
+/// build understands, and throws snap::SnapshotError with a clear message on
+/// any structural mismatch, on an enum byte this build defines no value for,
+/// and on a key from a campaign mode this build no longer runs. No
 /// container is sized from a count read off the image, so a corrupt count
 /// fails at the end of its chunk instead of allocating.
 snap::Snapshot encode_progress(const CampaignProgress& p);

@@ -16,16 +16,13 @@ namespace st::sim {
 
 /// Event evaluation priority within one timestamp. Smaller runs first.
 ///
-/// Priorities encode the two-phase clock-edge semantics (DESIGN.md §5):
-/// at a given instant all clock edges fire, clocked processes sample their
-/// inputs, then commit their new state, then combinational settling /
-/// clock-gating decisions run last.
+/// Priorities order one instant (DESIGN.md §5): clock edges, then
+/// asynchronous settling, then observers. Race-audit loci print the values.
 enum class Priority : int {
-    kClockEdge = 0,   ///< clock edge bookkeeping, sample phase
-    kCommit = 1,      ///< registered-state update phase
-    kPostCommit = 2,  ///< clock-enable evaluation, gating decisions
-    kDefault = 3,     ///< plain asynchronous events (handshakes, wires)
-    kMonitor = 4,     ///< trace capture, checkers — observe settled state
+    kClockEdge = 0,  ///< clock edge: sample, commit, enable decision
+    kCommit = 1,     ///< PausibleClock's registered-state update phase
+    kDefault = 3,    ///< plain asynchronous events (handshakes, wires)
+    kMonitor = 4,    ///< trace capture, checkers — observe settled state
 };
 
 /// Optional provenance attached to an event for the race audit: the object

@@ -107,7 +107,7 @@ void InvariantMonitor::check(std::size_t wrapper_index, std::uint64_t cycle) {
         if (bad_proto) record(loc + "token protocol error observed");
         if (bad_clk) {
             // Settled post-edge state: a deasserted clken must have stopped
-            // the clock by now (the post-commit gate runs before monitors).
+            // the clock by now (the edge decides its enable before monitors).
             record(loc + "clken low but clock still running");
         }
     }

@@ -68,10 +68,10 @@ TEST(Checkpoint, FileRoundTripIsAtomicAndStable) {
 
 TEST(Checkpoint, RejectsNewerFormatVersion) {
     // Negative fixture: a hand-crafted image whose top-level chunk claims
-    // version 2. A build that only understands version 1 must refuse it
-    // rather than misparse the body.
+    // version 3. A build that only understands up to version 2 must refuse
+    // it rather than misparse the body.
     snap::StateWriter w;
-    w.begin_group("stcampaign", 2);
+    w.begin_group("stcampaign", 3);
     w.begin("key", 2);
     w.str("pair");
     w.end();
@@ -95,6 +95,7 @@ TEST(Checkpoint, RejectsTrailingBytes) {
 /// one-failure summary whose case carries one delay per vector and one
 /// fault, and whose report carries a value locus with both events.
 struct Crafted {
+    std::uint16_t version = 2;        ///< of the "stcampaign" group
     std::uint8_t fork_byte = 1;       ///< key: the retired warm-up fork flag
     std::uint8_t streaming_byte = 1;  ///< key: the retired streaming flag
     std::uint64_t pct_count = 1;      ///< declared length of fifo_pct
@@ -116,7 +117,7 @@ void write_crafted_event(snap::StateWriter& w, std::uint8_t dir) {
 /// defaults double as a fixed record of the wire format.
 snap::Snapshot craft(const Crafted& k) {
     snap::StateWriter w;
-    w.begin_group("stcampaign");
+    w.begin_group("stcampaign", k.version);
     w.begin("key");
     w.str("pair");
     for (const std::uint64_t v : {80, 2'000'000, 9, 24}) w.u64(v);
@@ -187,6 +188,12 @@ TEST(CheckpointCrafted, WireFormatImageReencodesByteIdentically) {
     const fuzz::CampaignProgress p = fuzz::decode_progress(img);
     EXPECT_EQ(p.summary.failures.size(), 1u);
     EXPECT_EQ(fuzz::encode_progress(p).bytes(), img.bytes());
+}
+
+TEST(CheckpointCrafted, RejectsVersion1Image) {
+    // Written before a clock edge became one scheduler event: its report's
+    // event count (1234) would not match one this build produces.
+    expect_rejected(craft({.version = 1}), "version 1");
 }
 
 TEST(CheckpointCrafted, RejectsUnknownOutcome) {

@@ -40,7 +40,9 @@ void usage() {
         "                     local cycle (repeatable)\n"
         "  --run              run until a breakpoint, quiescence, or the\n"
         "                     deadline; prints the stop reason\n"
-        "  --step N           execute N scheduler events, then settle\n"
+        "  --step N           execute N scheduler events, then settle; a\n"
+        "                     clock edge is one event with its commit and\n"
+        "                     enable decision\n"
         "  --deadline-us N    simulated-time budget for --run (default 1000)\n"
         "  --save FILE        write a snapshot of the current state\n"
         "  --load FILE        restore FILE into a fresh Soc (same spec)\n"
