@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "deadlock/rules.hpp"
+#include "deadlock/stall.hpp"
 #include "runner/runner.hpp"
 #include "system/delay_config.hpp"
 #include "system/soc.hpp"
@@ -63,7 +63,8 @@ void run_experiment() {
     for (std::size_t i = 0; i < rows.size(); ++i) {
         auto& row = rows[i];
         auto& m = measured[i];
-        m.rules_ok = dl::check_rules(row.spec).ok;
+        m.rules_ok =
+            dl::solve_stalls(dl::build_stall_model(row.spec)).converged;
         const auto t0 = std::chrono::steady_clock::now();
         sys::Soc soc(row.spec);
         soc.run_cycles(400, sim::ms(20));

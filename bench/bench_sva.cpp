@@ -66,7 +66,7 @@ void run_experiment() {
         const auto g = sva::lower(spec);
         const double s = timed_verify(spec, jobs, reps);
         std::printf("%18s | %9zu | %9zu | %10.6f\n", name,
-                    g.stations.size(), jobs, s);
+                    g.stall.stations.size(), jobs, s);
         report.add(std::string("verify_") + name + "_j" +
                        std::to_string(jobs),
                    s * 1e3, "ms", jobs);

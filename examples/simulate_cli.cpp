@@ -6,6 +6,7 @@
 //   $ ./examples/simulate_cli --topology mesh --perturb 150 --report
 //   $ ./examples/simulate_cli --topology pair --vcd trace.vcd
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -13,7 +14,7 @@
 #include <memory>
 #include <string>
 
-#include "deadlock/rules.hpp"
+#include "deadlock/stall.hpp"
 #include "system/delay_config.hpp"
 #include "system/invariant_monitor.hpp"
 #include "system/soc.hpp"
@@ -99,8 +100,15 @@ int main(int argc, char** argv) {
     }
 
     if (opt.audit) {
-        const auto rules = dl::check_rules(spec);
-        std::printf("deadlock rules: %s\n", rules.summary().c_str());
+        const auto stalls = dl::build_stall_model(spec);
+        const auto fp = dl::solve_stalls(stalls);
+        sim::Time worst = 0;
+        for (const sim::Time s : fp.stall) worst = std::max(worst, s);
+        std::printf("deadlock rules: %s over %zu station(s); worst stall "
+                    "bound %s\n",
+                    fp.converged ? "OK, stall fixpoint converges"
+                                 : "DEADLOCK RISK, stall fixpoint diverges",
+                    stalls.stations.size(), sim::format_time(worst).c_str());
     }
 
     sys::Soc soc(sys::apply(spec, cfg));

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <string>
 
+#include "deadlock/stall.hpp"
 #include "lint/lint.hpp"
 #include "lint/locus.hpp"
 
@@ -196,6 +197,10 @@ void check_param_sanity(const sys::SocSpec& spec, LintReport& report) {
         if (c.divider == 0) {
             report.add(Severity::kError, "param-sanity", sb_locus(spec, i),
                        "zero clock divider");
+        } else if (dl::effective_period(spec.sbs[i]) / c.divider !=
+                   c.base_period) {
+            report.add(Severity::kError, "param-sanity", sb_locus(spec, i),
+                       "clock period base period * divider overflows");
         }
         if (!spec.sbs[i].make_kernel) {
             report.add(Severity::kError, "param-sanity", sb_locus(spec, i),

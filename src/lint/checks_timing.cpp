@@ -1,12 +1,12 @@
 // Timing lint passes: recycle schedule feasibility, FIFO burst occupancy and
-// head visibility, clock-period hazards, and the absorbed deadlock fixpoint.
+// head visibility, clock-period hazards, and the deadlock fixpoint. The
+// recycle and deadlock passes read the spec's dl::StallModel.
 
 #include <algorithm>
 #include <sstream>
 #include <string>
 
-#include "analytic/models.hpp"
-#include "deadlock/rules.hpp"
+#include "deadlock/stall.hpp"
 #include "lint/lint.hpp"
 #include "lint/locus.hpp"
 #include "sim/time.hpp"
@@ -18,33 +18,9 @@ namespace {
 using detail::channel_locus;
 using detail::multi_ring_locus;
 using detail::ring_locus;
-using detail::sb_period;
 
-/// Shared slack verdict: the token is away for `away` ps while the node
-/// provisions `provisioned` ps of recycle wait on a `t_local` clock.
-void judge_recycle_slack(LintReport& report, const std::string& locus,
-                         sim::Time provisioned, sim::Time away,
-                         sim::Time t_local, std::uint32_t min_feasible) {
-    if (provisioned >= away) return;
-    const sim::Time deficit = away - provisioned;
-    if (deficit <= t_local) {
-        // Within one alignment cycle: a tuned schedule (initial_recycle
-        // phase alignment) legitimately runs here — the pair testbench does.
-        report.add(Severity::kNote, "recycle-feasibility", locus,
-                   "provisioned wait " + sim::format_time(provisioned) +
-                       " trails the nominal token absence " +
-                       sim::format_time(away) +
-                       " by less than one local cycle; requires tuned "
-                       "initial_recycle phase alignment to avoid stalls");
-        return;
-    }
-    report.add(Severity::kError, "recycle-feasibility", locus,
-               "provisioned wait " + sim::format_time(provisioned) +
-                   " cannot cover the nominal token absence " +
-                   sim::format_time(away) +
-                   "; the local clock stalls on every rotation",
-               "raise the recycle register to >= " +
-                   std::to_string(min_feasible));
+sim::Time sb_period(const sys::SocSpec& spec, std::size_t i) {
+    return dl::effective_period(spec.sbs[i]);
 }
 
 /// Producer-side hold value of the channel's master-handshake node, i.e. the
@@ -80,49 +56,34 @@ sim::Time token_flight(const sys::SocSpec& spec, const sys::ChannelSpec& ch) {
 
 }  // namespace
 
-void check_recycle_feasibility(const sys::SocSpec& spec, LintReport& report) {
-    for (const auto& ring : spec.rings) {
-        const sim::Time t_a = sb_period(spec, ring.sb_a);
-        const sim::Time t_b = sb_period(spec, ring.sb_b);
-        const sim::Time round_trip = ring.delay_ab + ring.delay_ba;
-
-        const sim::Time away_a =
-            round_trip + static_cast<sim::Time>(ring.node_b.hold + 1) * t_b;
-        judge_recycle_slack(
-            report, detail::node_locus(spec, ring, ring.sb_a),
-            static_cast<sim::Time>(ring.node_a.recycle) * t_a, away_a, t_a,
-            model::min_recycle(t_a, t_b, ring.node_b.hold, ring.delay_ab,
-                               ring.delay_ba));
-
-        const sim::Time away_b =
-            round_trip + static_cast<sim::Time>(ring.node_a.hold + 1) * t_a;
-        judge_recycle_slack(
-            report, detail::node_locus(spec, ring, ring.sb_b),
-            static_cast<sim::Time>(ring.node_b.recycle) * t_b, away_b, t_b,
-            model::min_recycle(t_b, t_a, ring.node_a.hold, ring.delay_ab,
-                               ring.delay_ba));
-    }
-    for (const auto& mr : spec.multi_rings) {
-        sim::Time hops_total = 0;
-        for (const auto& m : mr.members) hops_total += m.hop_delay;
-        for (std::size_t i = 0; i < mr.members.size(); ++i) {
-            const auto& me = mr.members[i];
-            const sim::Time t_local = sb_period(spec, me.sb);
-            sim::Time others = 0;
-            for (std::size_t j = 0; j < mr.members.size(); ++j) {
-                if (j == i) continue;
-                others += static_cast<sim::Time>(mr.members[j].node.hold + 1) *
-                          sb_period(spec, mr.members[j].sb);
-            }
-            const sim::Time away = hops_total + others;
-            judge_recycle_slack(
-                report,
-                multi_ring_locus(mr) + " node in " +
-                    detail::sb_locus(spec, me.sb),
-                static_cast<sim::Time>(me.node.recycle) * t_local, away,
-                t_local,
-                static_cast<std::uint32_t>((away + t_local - 1) / t_local));
+void check_recycle_feasibility(const dl::StallModel& stalls,
+                               LintReport& report) {
+    const dl::Station* prev = nullptr;
+    for (const auto& s : stalls.stations) {
+        // A multi-ring member's stations differ only in their peer SB:
+        // judge the node once.
+        const bool same_node = prev && prev->ring == s.ring && prev->sb == s.sb;
+        prev = &s;
+        if (same_node || s.provisioned >= s.away) continue;
+        if (s.away - s.provisioned <= s.t_local) {
+            // Within one alignment cycle: a tuned schedule (initial_recycle
+            // phase alignment) legitimately runs here — the pair testbench
+            // does.
+            report.add(Severity::kNote, "recycle-feasibility", s.locus,
+                       "provisioned wait " + sim::format_time(s.provisioned) +
+                           " trails the nominal token absence " +
+                           sim::format_time(s.away) +
+                           " by less than one local cycle; requires tuned "
+                           "initial_recycle phase alignment to avoid stalls");
+            continue;
         }
+        report.add(Severity::kError, "recycle-feasibility", s.locus,
+                   "provisioned wait " + sim::format_time(s.provisioned) +
+                       " cannot cover the nominal token absence " +
+                       sim::format_time(s.away) +
+                       "; the local clock stalls on every rotation",
+                   "raise the recycle register to >= " +
+                       std::to_string(s.min_recycle()));
     }
 }
 
@@ -211,19 +172,14 @@ void check_clock_hazards(const sys::SocSpec& spec, LintReport& report) {
     }
 }
 
-void check_deadlock_rules(const sys::SocSpec& spec, LintReport& report) {
-    const dl::RuleReport rules = dl::check_rules(spec);
-    if (!rules.ok) {
-        report.add(Severity::kError, "deadlock-fixpoint", "spec",
-                   "transitive stall bounds diverge: a cyclic chain of "
-                   "under-provisioned recycle registers can deadlock the "
-                   "stopped clocks",
-                   "add recycle slack on at least one ring of every "
-                   "potential cycle (DESIGN.md section 6)");
-    }
-    for (const auto& v : rules.violations) {
-        report.add(Severity::kNote, "deadlock-advisory", "spec", v);
-    }
+void check_deadlock_rules(const dl::StallModel& stalls, LintReport& report) {
+    if (dl::solve_stalls(stalls).converged) return;
+    report.add(Severity::kError, "deadlock-fixpoint", "spec",
+               "transitive stall bounds diverge: a cyclic chain of "
+               "under-provisioned recycle registers can deadlock the "
+               "stopped clocks",
+               "add recycle slack on at least one ring of every "
+               "potential cycle (DESIGN.md section 6)");
 }
 
 }  // namespace st::lint

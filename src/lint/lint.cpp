@@ -22,12 +22,12 @@ const std::vector<PassInfo>& pass_catalog() {
         {"clock-hazards",
          "clock-period ratio and async-restart-latency warnings"},
         {"deadlock-rules",
-         "dl::check_rules transitive-stall fixpoint (absorbed pass)"},
+         "transitive-stall fixpoint over the dl::StallModel stations"},
     };
     return catalog;
 }
 
-LintReport lint(const sys::SocSpec& spec, const LintOptions& opt) {
+LintReport lint(const sys::SocSpec& spec) {
     LintReport report;
     check_endpoints(spec, report);
     if (!report.ok()) {
@@ -41,10 +41,19 @@ LintReport lint(const sys::SocSpec& spec, const LintOptions& opt) {
     check_isolated_sb(spec, report);
     check_param_sanity(spec, report);
     check_counter_width(spec, report);
-    check_recycle_feasibility(spec, report);
+    for (const auto& sb : spec.sbs) {
+        if (dl::effective_period(sb) == 0) {
+            report.add(Severity::kNote, "param-sanity", "spec",
+                       "zero clock period above: timing passes skipped "
+                       "(their arithmetic divides by the local period)");
+            return report;
+        }
+    }
+    const dl::StallModel stalls = dl::build_stall_model(spec);
+    check_recycle_feasibility(stalls, report);
     check_fifo_provisioning(spec, report);
     check_clock_hazards(spec, report);
-    if (opt.deadlock_pass) check_deadlock_rules(spec, report);
+    check_deadlock_rules(stalls, report);
     return report;
 }
 

@@ -3,16 +3,11 @@
 #include <string>
 #include <vector>
 
+#include "deadlock/stall.hpp"
 #include "lint/diagnostic.hpp"
 #include "system/spec.hpp"
 
 namespace st::lint {
-
-/// Options for the full lint run.
-struct LintOptions {
-    /// Run the absorbed deadlock fixpoint (`dl::check_rules`) pass.
-    bool deadlock_pass = true;
-};
 
 /// Catalog entry describing one analysis pass (docs/LINT.md mirrors this).
 struct PassInfo {
@@ -28,8 +23,11 @@ const std::vector<PassInfo>& pass_catalog();
 /// Structural validity (index ranges) is checked first; when the topology is
 /// malformed the deeper schedule/occupancy passes are skipped — their
 /// arithmetic would dereference out-of-range spec entries — and a note
-/// records the early exit.
-LintReport lint(const sys::SocSpec& spec, const LintOptions& opt = {});
+/// records the early exit. A zero effective clock period likewise skips the
+/// timing passes, whose arithmetic divides by it. Otherwise the spec's
+/// dl::StallModel is built once and shared by the recycle and deadlock
+/// passes.
+LintReport lint(const sys::SocSpec& spec);
 
 // --- individual passes (exposed for targeted tests) -----------------------
 // Every pass assumes `check_endpoints` reported no error unless noted.
@@ -52,7 +50,8 @@ void check_initial_holder(const sys::SocSpec& spec, LintReport& report);
 void check_isolated_sb(const sys::SocSpec& spec, LintReport& report);
 
 /// rule `param-sanity`: hold >= 1, FIFO depth >= 1, data bits in [1, 64],
-/// clock period/divider nonzero, nonzero token wire delays.
+/// clock period/divider nonzero and their product in range, nonzero token
+/// wire delays.
 void check_param_sanity(const sys::SocSpec& spec, LintReport& report);
 
 /// rule `counter-width`: hold / recycle / initial-recycle register values fit
@@ -60,12 +59,14 @@ void check_param_sanity(const sys::SocSpec& spec, LintReport& report);
 void check_counter_width(const sys::SocSpec& spec, LintReport& report);
 
 /// rule `recycle-feasibility`: per ring node (and multi-ring member), the
-/// provisioned recycle wait R*T_local against the nominal token absence
-/// (wire round trip + peer hold phases + alignment). A deficit beyond one
-/// local cycle is an error (the schedule cannot work); a sub-cycle deficit is
-/// a note (tuned schedules legitimately shave the alignment cycle via
-/// initial_recycle).
-void check_recycle_feasibility(const sys::SocSpec& spec, LintReport& report);
+/// station's provisioned recycle wait R*T_local against its nominal token
+/// absence (wire round trip + peer hold phases + alignment). A deficit
+/// beyond one local cycle is an error (the schedule cannot work) whose fix
+/// hint is ceil(absence / T_local); a sub-cycle deficit is a note (tuned
+/// schedules legitimately shave the alignment cycle via initial_recycle).
+/// Requires every effective clock period nonzero.
+void check_recycle_feasibility(const dl::StallModel& stalls,
+                               LintReport& report);
 
 /// rules `fifo-depth` (error) and `fifo-head-visibility` (warning):
 /// worst-case burst occupancy during one hold phase vs. configured depth, and
@@ -78,9 +79,9 @@ void check_fifo_provisioning(const sys::SocSpec& spec, LintReport& report);
 /// to the local period erodes the stall-recovery margin.
 void check_clock_hazards(const sys::SocSpec& spec, LintReport& report);
 
-/// rules `deadlock-fixpoint` (error) / `deadlock-advisory` (note): the
-/// existing dl::check_rules transitive-stall fixpoint, absorbed behind the
-/// Diagnostic API.
-void check_deadlock_rules(const sys::SocSpec& spec, LintReport& report);
+/// rule `deadlock-fixpoint` (error): the stall model's bounded max-plus
+/// fixpoint (dl::solve_stalls, DESIGN.md §6) diverges — a cyclic chain of
+/// under-provisioned recycle registers can deadlock the stopped clocks.
+void check_deadlock_rules(const dl::StallModel& stalls, LintReport& report);
 
 }  // namespace st::lint

@@ -31,10 +31,4 @@ inline std::string node_locus(const sys::SocSpec& spec,
     return ring_locus(r) + " node in " + sb_locus(spec, sb);
 }
 
-/// Effective local clock period of SB `i` (base period times divider).
-inline sim::Time sb_period(const sys::SocSpec& spec, std::size_t i) {
-    const auto& c = spec.sbs[i].clock;
-    return c.base_period * c.divider;
-}
-
 }  // namespace st::lint::detail

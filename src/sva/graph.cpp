@@ -1,15 +1,8 @@
 #include "sva/graph.hpp"
 
-#include <algorithm>
-#include <sstream>
-
 namespace st::sva {
 
 namespace {
-
-sim::Time effective_period(const sys::SbSpec& sb) {
-    return sb.clock.base_period * std::max(1u, sb.clock.divider);
-}
 
 std::string sb_name(const sys::SocSpec& spec, std::size_t i) {
     return i < spec.sbs.size() ? spec.sbs[i].name : "<out-of-range>";
@@ -36,7 +29,7 @@ TokenFlowGraph lower(const sys::SocSpec& spec) {
     for (const auto& sb : spec.sbs) {
         SbNode n;
         n.name = sb.name;
-        n.period = effective_period(sb);
+        n.period = dl::effective_period(sb);
         n.restart = sb.clock.restart_delay;
         g.sbs.push_back(std::move(n));
     }
@@ -60,40 +53,6 @@ TokenFlowGraph lower(const sys::SocSpec& spec) {
         info.holders = (ring.node_a.initial_holder ? 1u : 0u) +
                        (ring.node_b.initial_holder ? 1u : 0u);
         g.rings.push_back(std::move(info));
-
-        const sim::Time t_a = g.sbs[ring.sb_a].period;
-        const sim::Time t_b = g.sbs[ring.sb_b].period;
-        const sim::Time round_trip = ring.delay_ab + ring.delay_ba;
-
-        Station a;
-        a.ring = r;
-        a.sb = ring.sb_a;
-        a.peer_sb = ring.sb_b;
-        a.hold = ring.node_a.hold;
-        a.recycle = ring.node_a.recycle;
-        a.t_local = t_a;
-        a.provisioned = static_cast<sim::Time>(ring.node_a.recycle) * t_a;
-        a.away =
-            round_trip + static_cast<sim::Time>(ring.node_b.hold + 1) * t_b;
-        a.locus = "ring '" + ring.name + "' node in SB '" +
-                  spec.sbs[ring.sb_a].name + "'";
-        g.sbs[ring.sb_a].stations.push_back(g.stations.size());
-        g.stations.push_back(std::move(a));
-
-        Station b;
-        b.ring = r;
-        b.sb = ring.sb_b;
-        b.peer_sb = ring.sb_a;
-        b.hold = ring.node_b.hold;
-        b.recycle = ring.node_b.recycle;
-        b.t_local = t_b;
-        b.provisioned = static_cast<sim::Time>(ring.node_b.recycle) * t_b;
-        b.away =
-            round_trip + static_cast<sim::Time>(ring.node_a.hold + 1) * t_a;
-        b.locus = "ring '" + ring.name + "' node in SB '" +
-                  spec.sbs[ring.sb_b].name + "'";
-        g.sbs[ring.sb_b].stations.push_back(g.stations.size());
-        g.stations.push_back(std::move(b));
     }
 
     // --- multi-rings (token buses) ----------------------------------------
@@ -135,41 +94,6 @@ TokenFlowGraph lower(const sys::SocSpec& spec) {
             if (m.node.initial_holder) ++info.holders;
         }
         g.rings.push_back(std::move(info));
-
-        sim::Time hops_total = 0;
-        for (const auto& m : mr.members) hops_total += m.hop_delay;
-        const std::size_t ring_id = spec.rings.size() + r;
-        for (std::size_t i = 0; i < mr.members.size(); ++i) {
-            const auto& me = mr.members[i];
-            const sim::Time t_local = g.sbs[me.sb].period;
-            sim::Time others = 0;
-            for (std::size_t j = 0; j < mr.members.size(); ++j) {
-                if (j == i) continue;
-                others +=
-                    static_cast<sim::Time>(mr.members[j].node.hold + 1) *
-                    g.sbs[mr.members[j].sb].period;
-            }
-            // One station per (member, other-member) pair, like the dl
-            // fixpoint, so coupling can propagate from any co-member's SB.
-            for (std::size_t j = 0; j < mr.members.size(); ++j) {
-                if (j == i) continue;
-                Station v;
-                v.ring = ring_id;
-                v.multi = true;
-                v.sb = me.sb;
-                v.peer_sb = mr.members[j].sb;
-                v.hold = me.node.hold;
-                v.recycle = me.node.recycle;
-                v.t_local = t_local;
-                v.provisioned =
-                    static_cast<sim::Time>(me.node.recycle) * t_local;
-                v.away = hops_total + others;
-                v.locus = "multi-ring '" + mr.name + "' member SB '" +
-                          spec.sbs[me.sb].name + "'";
-                g.sbs[me.sb].stations.push_back(g.stations.size());
-                g.stations.push_back(std::move(v));
-            }
-        }
     }
 
     // --- channels ----------------------------------------------------------
@@ -251,19 +175,7 @@ TokenFlowGraph lower(const sys::SocSpec& spec) {
         g.fifos.push_back(std::move(e));
     }
 
-    // --- station coupling (the dl cross() relation, precomputed) -----------
-    g.coupling.resize(g.stations.size());
-    std::vector<std::vector<std::size_t>> by_sb(g.sbs.size());
-    for (std::size_t i = 0; i < g.stations.size(); ++i) {
-        by_sb[g.stations[i].sb].push_back(i);
-    }
-    for (std::size_t n = 0; n < g.stations.size(); ++n) {
-        for (const std::size_t j : by_sb[g.stations[n].peer_sb]) {
-            if (g.stations[j].ring != g.stations[n].ring) {
-                g.coupling[n].push_back(j);
-            }
-        }
-    }
+    if (g.structural.empty()) g.stall = dl::build_stall_model(spec);
     // A trap witness promises that elaboration throws *cleanly*. That only
     // holds when every structural defect is of the clean-throwing kind: if
     // an ill-indexed defect coexists, elaboration may fault on it first, so

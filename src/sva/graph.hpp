@@ -5,37 +5,11 @@
 #include <string>
 #include <vector>
 
+#include "deadlock/stall.hpp"
 #include "lint/diagnostic.hpp"
 #include "system/spec.hpp"
 
 namespace st::sva {
-
-/// One token-ring station: a ring endpoint's (or multi-ring member's) view
-/// of the token schedule, annotated with the budgets the static passes
-/// reason about. Mirrors the absorbed dl::check_rules node model exactly —
-/// one station per endpoint for two-node rings, one station per
-/// (member, other-member) pair for multi-rings — so the sva deadlock pass
-/// and the legacy fixpoint agree by construction.
-struct Station {
-    std::size_t ring = 0;  ///< unified id: rings, then multi_rings offset
-    bool multi = false;
-    std::size_t sb = 0;       ///< SB hosting this station
-    std::size_t peer_sb = 0;  ///< SB whose stall this station inherits
-    std::uint32_t hold = 0;
-    std::uint32_t recycle = 0;
-    sim::Time t_local = 0;      ///< effective local clock period, ps
-    sim::Time provisioned = 0;  ///< R * T_local: wait budgeted after passing
-    sim::Time away = 0;         ///< nominal token absence, ps
-    std::string locus;          ///< lint-style locus for diagnostics
-
-    /// Signed schedule margin, floored at zero on each side.
-    sim::Time deficit() const {
-        return away > provisioned ? away - provisioned : 0;
-    }
-    sim::Time slack() const {
-        return provisioned > away ? provisioned - away : 0;
-    }
-};
 
 /// One channel (self-timed FIFO + handshakes) as a data edge of the graph,
 /// annotated with the occupancy and timing intervals the passes need.
@@ -60,7 +34,6 @@ struct SbNode {
     std::string name;
     sim::Time period = 0;   ///< effective period (base * divider)
     sim::Time restart = 0;  ///< async restart latency
-    std::vector<std::size_t> stations;
     std::vector<std::size_t> out_channels;
     std::vector<std::size_t> in_channels;
 };
@@ -73,19 +46,19 @@ struct RingInfo {
     std::size_t holders = 0;  ///< number of initial token holders (budget)
 };
 
-/// The token-flow graph IR every sva pass runs over: SBs, stations, FIFO
-/// edges, and the station-coupling relation (station j couples into station
-/// n when j sits in n's peer SB on a different ring — j's stall delays the
-/// token n waits for). Structural defects found while lowering are recorded
-/// instead of thrown, so the structure pass can report them as obligations.
+/// The token-flow graph IR every sva pass runs over: SBs, rings, FIFO
+/// edges, and the spec's stall model (dl::StallModel: the ring stations and
+/// their coupling, shared with lint). Structural defects found while
+/// lowering are recorded instead of thrown, so the structure pass can report
+/// them as obligations.
 struct TokenFlowGraph {
     const sys::SocSpec* spec = nullptr;
     std::vector<SbNode> sbs;
     std::vector<RingInfo> rings;
-    std::vector<Station> stations;
     std::vector<FifoEdge> fifos;
-    /// coupling[n] = stations feeding station n's transitive stall.
-    std::vector<std::vector<std::size_t>> coupling;
+    /// Built only when the lowering found no structural defect; empty
+    /// otherwise (no pass reads it on a defective graph).
+    dl::StallModel stall;
     /// Lowering-time structural defects (rule `sva-structure`). When any
     /// defect makes an element un-lowerable the element is skipped; deeper
     /// passes run only on a graph with no defects.

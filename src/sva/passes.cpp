@@ -72,7 +72,7 @@ std::vector<Obligation> pass_structure(const TokenFlowGraph& g) {
         for (const auto& r : g.rings) multis += r.multi ? 1 : 0;
         std::ostringstream os;
         os << "lowered " << g.sbs.size() << " SB(s), " << g.rings.size()
-           << " ring(s) (" << multis << " multi), " << g.stations.size()
+           << " ring(s) (" << multis << " multi), " << g.stall.stations.size()
            << " station(s), " << g.fifos.size()
            << " channel(s); every endpoint, ring binding, and membership is "
               "well-formed";
@@ -108,79 +108,35 @@ std::vector<Obligation> pass_deadlock(const TokenFlowGraph& g) {
     Obligation ob;
     ob.pass = "sva-deadlock";
     ob.locus = "soc";
-    const std::size_t V = g.stations.size();
+    const auto& stations = g.stall.stations;
+    const std::size_t V = stations.size();
     if (V == 0) {
         ob.evidence = "no token rings: trivially deadlock-free";
         out.push_back(std::move(ob));
         return out;
     }
 
-    // Monotone max-plus recurrence with zero floors (identical numbers to
-    // dl::check_rules):
-    //   stall(n) = max(0, away(n) + max_{j in coupling(n)} stall(j)
-    //                     - provisioned(n))
-    // Values only grow; any growth after |V| rounds requires a dependency
-    // walk longer than |V| stations, which must revisit one — and the
-    // revisited segment must have net-positive deficit. So a change in
-    // round |V|+1 certifies a positive-deficit coupling cycle (divergence),
-    // and following the argmax predecessors from a still-growing station
-    // extracts one such cycle.
-    std::vector<sim::Time> stall(V, 0);
-    std::vector<std::size_t> pred(V, kNone);
-    std::vector<char> grew(V, 0);
-    bool diverged = false;
-    std::size_t rounds = 0;
-    for (std::size_t round = 0;; ++round) {
-        bool changed = false;
-        std::fill(grew.begin(), grew.end(), 0);
-        for (std::size_t i = 0; i < V; ++i) {
-            const auto& n = g.stations[i];
-            sim::Time cross = 0;
-            std::size_t best = kNone;
-            for (const std::size_t j : g.coupling[i]) {
-                if (stall[j] > cross) {
-                    cross = stall[j];
-                    best = j;
-                }
-            }
-            const sim::Time pressure = n.away + cross;
-            const sim::Time s =
-                pressure > n.provisioned ? pressure - n.provisioned : 0;
-            if (s > stall[i]) {
-                stall[i] = s;
-                pred[i] = best;
-                grew[i] = 1;
-                changed = true;
-            }
-        }
-        rounds = round + 1;
-        if (!changed) break;
-        if (round >= V + 1) {
-            diverged = true;
-            break;
-        }
-    }
-
-    if (!diverged) {
+    const dl::StallFixpoint fp = dl::solve_stalls(g.stall);
+    if (fp.converged) {
         sim::Time worst = 0;
         std::size_t worst_i = 0;
         std::size_t fragile = 0;
         for (std::size_t i = 0; i < V; ++i) {
-            if (stall[i] > worst) {
-                worst = stall[i];
+            if (fp.stall[i] > worst) {
+                worst = fp.stall[i];
                 worst_i = i;
             }
             // Worst envelope corner: every away contribution at 200%, the
             // local clock (and with it the provisioned wait) at 75%.
-            if (g.stations[i].provisioned * 75 < g.stations[i].away * 200) {
+            if (stations[i].provisioned * 75 < stations[i].away * 200) {
                 ++fragile;
             }
         }
         std::ostringstream os;
         os << "transitive-stall fixpoint converged over " << V
-           << " station(s) in " << rounds << " round(s); worst stall bound "
-           << ps(worst);
-        if (worst > 0) os << " at " << g.stations[worst_i].locus;
+           << " station(s) in " << fp.rounds
+           << " round(s); worst stall bound " << ps(worst);
+        if (worst > 0) os << " at " << stations[worst_i].locus;
         os << "; " << fragile << "/" << V
            << " station(s) have negative worst-corner slack under the "
               "50-200% envelope — absorbed by count-quantization (delivery "
@@ -192,24 +148,24 @@ std::vector<Obligation> pass_deadlock(const TokenFlowGraph& g) {
 
     // Extract a positive-deficit cycle by walking argmax predecessors from
     // a station that was still growing in the final round.
-    std::size_t start = kNone;
+    std::size_t start = dl::kNoStation;
     for (std::size_t i = 0; i < V; ++i) {
-        if (grew[i]) {
+        if (fp.grew[i]) {
             start = i;
             break;
         }
     }
     std::vector<std::size_t> cycle;
-    if (start != kNone) {
-        std::vector<std::size_t> order(V, kNone);
+    if (start != dl::kNoStation) {
+        std::vector<std::size_t> order(V, dl::kNoStation);
         std::vector<std::size_t> path;
         std::size_t cur = start;
-        while (cur != kNone && order[cur] == kNone) {
+        while (cur != dl::kNoStation && order[cur] == dl::kNoStation) {
             order[cur] = path.size();
             path.push_back(cur);
-            cur = pred[cur];
+            cur = fp.pred[cur];
         }
-        if (cur != kNone) {
+        if (cur != dl::kNoStation) {
             cycle.assign(path.begin() +
                              static_cast<std::ptrdiff_t>(order[cur]),
                          path.end());
@@ -219,11 +175,11 @@ std::vector<Obligation> pass_deadlock(const TokenFlowGraph& g) {
     ob.verdict = Verdict::kPlausible;
     std::ostringstream os;
     if (!cycle.empty()) {
-        ob.locus = g.stations[cycle.front()].locus;
+        ob.locus = stations[cycle.front()].locus;
         std::int64_t gain = 0;
         os << "positive-deficit coupling cycle (stall fixpoint diverges): ";
         for (std::size_t k = 0; k < cycle.size(); ++k) {
-            const auto& s = g.stations[cycle[k]];
+            const auto& s = stations[cycle[k]];
             const std::int64_t d = static_cast<std::int64_t>(s.away) -
                                    static_cast<std::int64_t>(s.provisioned);
             gain += d;
@@ -476,11 +432,12 @@ std::vector<Obligation> pass_ordering(const TokenFlowGraph& g) {
     // and commutes harmlessly; phases *within* one actor are ordered by the
     // scheduler's priority strata. This is the static mirror of the
     // dynamic race audit, which reports zero races on exactly this census.
+    std::vector<std::size_t> sources(g.sbs.size(), 0);
+    for (const auto& st : g.stall.stations) ++sources[st.sb];
     std::size_t pairs = 0;
-    for (const auto& sb : g.sbs) {
-        const std::size_t sources =
-            sb.stations.size() + sb.in_channels.size();
-        pairs += sources * (sources - 1) / 2;
+    for (std::size_t i = 0; i < g.sbs.size(); ++i) {
+        const std::size_t n = sources[i] + g.sbs[i].in_channels.size();
+        pairs += n * (n - 1) / 2;
     }
     Obligation ob;
     ob.pass = "sva-ordering";
@@ -488,7 +445,8 @@ std::vector<Obligation> pass_ordering(const TokenFlowGraph& g) {
     std::ostringstream os;
     os << "each of " << g.rings.size()
        << " ring(s) carries exactly one token (budget == 1); enumerated "
-       << pairs << " same-slot candidate pair(s) over " << g.stations.size()
+       << pairs << " same-slot candidate pair(s) over "
+       << g.stall.stations.size()
        << " station(s) and " << g.fifos.size()
        << " FIFO head(s) — every pair targets distinct single-writer "
           "actors, so same-slot commutation cannot change architectural "

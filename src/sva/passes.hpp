@@ -50,11 +50,12 @@ const std::vector<PassInfo>& sva_pass_catalog();
 /// an obligation (replayable ones carry a nominal model-trap witness).
 std::vector<Obligation> pass_structure(const TokenFlowGraph& g);
 
-/// Deadlock freedom: the dl::check_rules transitive-stall recurrence recast
-/// as graph reasoning. A monotone max-plus system with zero floors over the
-/// station-coupling graph stabilizes within |stations| rounds unless a
-/// positive-deficit coupling cycle exists; divergence extracts the minimal
-/// cycle and concretizes a nominal-delay deadlock witness.
+/// Deadlock freedom: the stall model's bounded max-plus fixpoint
+/// (dl::solve_stalls, DESIGN.md §6 — the same one lint's `deadlock-rules`
+/// pass runs). It stabilizes within |stations| rounds unless a
+/// positive-deficit coupling cycle exists; on divergence the argmax
+/// predecessors lead to one such cycle, reported as the certificate along
+/// with a nominal-delay deadlock witness.
 std::vector<Obligation> pass_deadlock(const TokenFlowGraph& g);
 
 /// Worst-case FIFO occupancy by interval dataflow over token rotations:

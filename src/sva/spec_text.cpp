@@ -1,6 +1,7 @@
 #include "sva/spec_text.hpp"
 
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -74,17 +75,32 @@ std::uint64_t parse_u64(const Cursor& at, const std::string& s) {
     return v;
 }
 
+/// parse_u64 for a field narrower than 64 bits. A value that does not fit
+/// is rejected by name rather than truncated, so every accepted file
+/// round-trips.
+template <typename T>
+T parse_field(const Cursor& at, const std::string& field,
+              const std::string& s) {
+    const std::uint64_t v = parse_u64(at, s);
+    if (v > std::numeric_limits<T>::max()) {
+        fail(at, "field '" + field + "' value " + s + " exceeds " +
+                     std::to_string(std::numeric_limits<T>::max()));
+    }
+    return static_cast<T>(v);
+}
+
 NodeDoc parse_node(const Cursor& at, const std::string& s) {
     const auto f = split(s, ',');
     if (f.size() != 4) {
         fail(at, "node '" + s + "' wants hold,recycle,initrec|-,h|w");
     }
     NodeDoc n;
-    n.hold = static_cast<std::uint32_t>(parse_u64(at, f[0]));
-    n.recycle = static_cast<std::uint32_t>(parse_u64(at, f[1]));
+    n.hold = parse_field<std::uint32_t>(at, "hold", f[0]);
+    n.recycle = parse_field<std::uint32_t>(at, "recycle", f[1]);
     if (f[2] != "-") {
         n.has_initial_recycle = true;
-        n.initial_recycle = static_cast<std::uint32_t>(parse_u64(at, f[2]));
+        n.initial_recycle =
+            parse_field<std::uint32_t>(at, "initial recycle", f[2]);
     }
     if (f[3] == "h") {
         n.holder = true;
@@ -127,6 +143,11 @@ class Fields {
 
     std::uint64_t num(const std::string& key) const {
         return parse_u64(at_, get(key));
+    }
+
+    template <typename T>
+    T narrow(const std::string& key) const {
+        return parse_field<T>(at_, key, get(key));
     }
 
   private:
@@ -215,7 +236,7 @@ SpecDoc parse_spec_text(const std::string& text) {
             SbDoc sb;
             sb.name = tokens[1];
             sb.period = f.num("period");
-            sb.divider = static_cast<unsigned>(f.num("divider"));
+            sb.divider = f.narrow<unsigned>("divider");
             sb.phase = f.num("phase");
             sb.restart = f.num("restart");
             const std::string kernel = f.get("kernel");
@@ -241,14 +262,17 @@ SpecDoc parse_spec_text(const std::string& text) {
                 } else {
                     fail(at, "unknown noc mode '" + bits[0] + "'");
                 }
-                sb.noc.x = static_cast<unsigned>(parse_u64(at, bits[1]));
-                sb.noc.y = static_cast<unsigned>(parse_u64(at, bits[2]));
-                sb.noc.width = static_cast<unsigned>(parse_u64(at, bits[3]));
+                // Widths of the wl::NocKernel::Config fields.
+                sb.noc.x = parse_field<std::uint8_t>(at, "noc x", bits[1]);
+                sb.noc.y = parse_field<std::uint8_t>(at, "noc y", bits[2]);
+                sb.noc.width =
+                    parse_field<std::uint8_t>(at, "noc width", bits[3]);
                 sb.noc.height =
-                    static_cast<unsigned>(parse_u64(at, bits[4]));
-                sb.noc.nodes = static_cast<unsigned>(parse_u64(at, bits[5]));
+                    parse_field<std::uint8_t>(at, "noc height", bits[4]);
+                sb.noc.nodes =
+                    parse_field<std::uint16_t>(at, "noc nodes", bits[5]);
                 sb.noc.inject_period =
-                    static_cast<unsigned>(parse_u64(at, bits[6]));
+                    parse_field<std::uint32_t>(at, "noc inject", bits[6]);
                 sb.seed = parse_u64(at, bits[7]);
             } else {
                 fail(at, "unsupported kernel '" + kernel +
@@ -293,7 +317,7 @@ SpecDoc parse_spec_text(const std::string& text) {
             }
             c.depth = f.num("depth");
             c.stage_delay = f.num("stage");
-            c.data_bits = static_cast<unsigned>(f.num("bits"));
+            c.data_bits = f.narrow<unsigned>("bits");
             const auto head = split(f.get("head"), ',');
             const auto tail = split(f.get("tail"), ',');
             if (head.size() != 2 || tail.size() != 2) {

@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "analytic/models.hpp"
+
 namespace st::topo {
 
 namespace {
@@ -76,11 +78,10 @@ sva::SpecDoc make_ring_of_rings(const RingOfRingsOptions& opt) {
             r.delay_ab = opt.outer_delay;
             r.delay_ba = opt.outer_delay;
             const auto provision = [&](std::size_t self, std::size_t peer) {
-                const std::uint64_t absence =
-                    2 * opt.outer_delay +
-                    (opt.hold + 1ull) * period_of(peer);
-                return static_cast<std::uint32_t>(
-                    ceil_div(absence, period_of(self)) + opt.recycle_slack);
+                return model::min_recycle(period_of(self), period_of(peer),
+                                          opt.hold, opt.outer_delay,
+                                          opt.outer_delay) +
+                       opt.recycle_slack;
             };
             r.node_a.hold = opt.hold;
             r.node_a.recycle = provision(a, b);

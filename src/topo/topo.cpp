@@ -4,16 +4,13 @@
 #include <unordered_map>
 #include <vector>
 
+#include "analytic/models.hpp"
 #include "sim/random.hpp"
 #include "workload/noc.hpp"
 
 namespace st::topo {
 
 namespace {
-
-std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) {
-    return (a + b - 1) / b;
-}
 
 /// Inclusive draw from [lo, hi] snapped to multiples of `quantum` above lo.
 std::uint64_t draw_quantized(sim::Rng& rng, std::uint64_t lo, std::uint64_t hi,
@@ -22,21 +19,6 @@ std::uint64_t draw_quantized(sim::Rng& rng, std::uint64_t lo, std::uint64_t hi,
     if (quantum == 0) quantum = 1;
     const std::uint64_t steps = (hi - lo) / quantum;
     return lo + rng.next_below(steps + 1) * quantum;
-}
-
-/// The recycle-feasibility / deadlock-fixpoint provisioning bound: worst
-/// token absence seen from one node of a two-node ring is the wire round
-/// trip plus the peer's full hold phase (H+1 peer cycles). Provisioning
-/// recycle >= ceil(absence / T_local) + slack discharges both passes at
-/// every node, which is what makes generated specs clean by construction.
-std::uint32_t provision_recycle(std::uint64_t delay_ab, std::uint64_t delay_ba,
-                                std::uint32_t hold_peer,
-                                std::uint64_t period_peer,
-                                std::uint64_t period_self,
-                                std::uint32_t slack) {
-    const std::uint64_t absence =
-        delay_ab + delay_ba + (hold_peer + 1ull) * period_peer;
-    return static_cast<std::uint32_t>(ceil_div(absence, period_self) + slack);
 }
 
 void check_common(const Options& opt) {
@@ -147,14 +129,20 @@ sva::SpecDoc generate_grid(const Options& opt, bool torus) {
         r.delay_ab = d.delay_ab;
         r.delay_ba = d.delay_ba;
         r.node_a.hold = d.hold_a;
-        r.node_a.recycle = provision_recycle(d.delay_ab, d.delay_ba, d.hold_b,
-                                             period[b], period[a],
-                                             opt.recycle_slack);
+        // Recycle = model::min_recycle + slack: the wait covers the worst
+        // token absence (wire round trip plus the peer's H+1 cycles) with
+        // slack to spare, so recycle-feasibility and the deadlock fixpoint
+        // hold at every node and generated specs lint clean by construction.
+        r.node_a.recycle =
+            model::min_recycle(period[a], period[b], d.hold_b, d.delay_ab,
+                               d.delay_ba) +
+            opt.recycle_slack;
         r.node_a.holder = true;
         r.node_b.hold = d.hold_b;
-        r.node_b.recycle = provision_recycle(d.delay_ab, d.delay_ba, d.hold_a,
-                                             period[a], period[b],
-                                             opt.recycle_slack);
+        r.node_b.recycle =
+            model::min_recycle(period[b], period[a], d.hold_a, d.delay_ab,
+                               d.delay_ba) +
+            opt.recycle_slack;
         r.node_b.holder = false;
         edges.emplace(static_cast<std::uint64_t>(a) * n + b,
                       EdgeInfo{doc.rings.size(), d.hold_a, d.hold_b});
@@ -276,14 +264,16 @@ sva::SpecDoc generate_star(const Options& opt) {
         r.delay_ab = d.delay_ab;
         r.delay_ba = d.delay_ba;
         r.node_a.hold = d.hold_a;
-        r.node_a.recycle = provision_recycle(d.delay_ab, d.delay_ba, d.hold_b,
-                                             period[i], period[0],
-                                             opt.recycle_slack);
+        r.node_a.recycle =
+            model::min_recycle(period[0], period[i], d.hold_b, d.delay_ab,
+                               d.delay_ba) +
+            opt.recycle_slack;
         r.node_a.holder = true;
         r.node_b.hold = d.hold_b;
-        r.node_b.recycle = provision_recycle(d.delay_ab, d.delay_ba, d.hold_a,
-                                             period[0], period[i],
-                                             opt.recycle_slack);
+        r.node_b.recycle =
+            model::min_recycle(period[i], period[0], d.hold_a, d.delay_ab,
+                               d.delay_ba) +
+            opt.recycle_slack;
         r.node_b.holder = false;
         spoke[i] = d;
         doc.rings.push_back(std::move(r));

@@ -3,7 +3,7 @@
 #include <memory>
 
 #include "clock/stoppable_clock.hpp"
-#include "deadlock/rules.hpp"
+#include "deadlock/stall.hpp"
 #include "sb/kernels/transforms.hpp"
 #include "sim/scheduler.hpp"
 #include "synchro/token_node.hpp"
@@ -39,7 +39,7 @@ TEST(Mesh, ThreeByThreeRunsLiveAndEverywhereActive) {
 
 TEST(Mesh, PassesDeadlockRulesAndTimingAudit) {
     const auto spec = sys::make_mesh_spec();
-    EXPECT_TRUE(dl::check_rules(spec).ok);
+    EXPECT_TRUE(dl::solve_stalls(dl::build_stall_model(spec)).converged);
     sys::Soc soc(spec);
     soc.run_cycles(100, sim::ms(8));
     EXPECT_TRUE(soc.audit_timing().all_pass());

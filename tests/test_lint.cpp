@@ -165,12 +165,53 @@ TEST(TimingPasses, RestartDelayNearPeriodWarns) {
     EXPECT_FALSE(lint(spec).for_rule("restart-delay").empty());
 }
 
-TEST(TimingPasses, DeadlockPassCanBeDisabled) {
-    const auto fixture = make_fixture("deadlock-cycle");
-    LintOptions opt;
-    opt.deadlock_pass = false;
-    EXPECT_TRUE(lint(fixture, opt).ok());
-    EXPECT_FALSE(lint(fixture).ok());
+// A zero clock period is a param-sanity error, and the timing passes, whose
+// arithmetic divides by the local period, are skipped with a note.
+TEST(TimingPasses, ZeroClockPeriodSkipsTimingPasses) {
+    for (const bool zero_divider : {false, true}) {
+        SCOPED_TRACE(zero_divider ? "divider=0" : "period=0");
+        auto spec = sys::make_pair_spec();
+        if (zero_divider) {
+            spec.sbs.at(0).clock.divider = 0;
+        } else {
+            spec.sbs.at(1).clock.base_period = 0;
+        }
+        const auto report = lint(spec);
+        EXPECT_TRUE(report.has_error("param-sanity")) << report.to_string();
+        EXPECT_TRUE(report.for_rule("recycle-feasibility").empty());
+        bool skipped = false;
+        for (const auto& d : report.for_rule("param-sanity")) {
+            skipped |= d.severity == Severity::kNote &&
+                       d.message.find("timing passes skipped") !=
+                           std::string::npos;
+        }
+        EXPECT_TRUE(skipped) << report.to_string();
+    }
+}
+
+// A base period and divider whose product wraps to zero are caught too.
+TEST(StructuralPasses, OverflowingClockPeriodIsRejected) {
+    auto spec = sys::make_pair_spec();
+    spec.sbs.at(0).clock.base_period = sim::Time{1} << 62;
+    spec.sbs.at(0).clock.divider = 4;
+    const auto report = lint(spec);
+    EXPECT_TRUE(report.has_error("param-sanity")) << report.to_string();
+    EXPECT_TRUE(report.for_rule("recycle-feasibility").empty());
+}
+
+// An under-provisioned multi-ring is judged once per member (its stations
+// differ only in their peer SB), with the ceil(absence / T_local) hint, and
+// a lone multi-ring cannot deadlock itself.
+TEST(TimingPasses, UnderProvisionedMultiRingReportsEachMemberOnce) {
+    auto spec = sys::make_bus_spec({.size = 3});
+    for (auto& m : spec.multi_rings.at(0).members) m.node.recycle = 2;
+    const auto report = lint(spec);
+    const auto diags = report.for_rule("recycle-feasibility");
+    ASSERT_EQ(diags.size(), 3u) << report.to_string();
+    EXPECT_EQ(diags[0].locus, "multi-ring 'bus' node in SB 'node0'");
+    EXPECT_EQ(diags[0].severity, Severity::kError);
+    EXPECT_EQ(diags[0].fix_hint, "raise the recycle register to >= 12");
+    EXPECT_FALSE(report.has_error("deadlock-fixpoint"));
 }
 
 // ---------------------------------------------------------------------------

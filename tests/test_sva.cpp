@@ -7,9 +7,10 @@
 //  * every fixture defect is flagged by its pass and the concretized witness
 //    replays to the recorded verdict (CONFIRMED, or RETRACTED for the
 //    deliberate over-approximation demo);
-//  * the verifier agrees with dl::check_rules on deadlock verdicts;
+//  * the verifier's deadlock verdict is the dl::StallModel fixpoint's;
 //  * output is invariant under --jobs.
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -17,7 +18,7 @@
 
 #include <gtest/gtest.h>
 
-#include "deadlock/rules.hpp"
+#include "deadlock/stall.hpp"
 #include "fuzz/repro.hpp"
 #include "lint/lint.hpp"
 #include "sva/fixtures.hpp"
@@ -56,9 +57,9 @@ TEST(SvaGraph, LowersPairGeometry) {
     EXPECT_TRUE(g.ok());
     EXPECT_EQ(g.sbs.size(), 2u);
     EXPECT_EQ(g.rings.size(), 1u);
-    EXPECT_EQ(g.stations.size(), 2u);  // one per ring endpoint
+    EXPECT_EQ(g.stall.stations.size(), 2u);  // one per ring endpoint
     EXPECT_EQ(g.fifos.size(), 2u);
-    for (const auto& st : g.stations) {
+    for (const auto& st : g.stall.stations) {
         EXPECT_GT(st.provisioned, 0u);
         EXPECT_GT(st.away, 0u);
     }
@@ -70,8 +71,8 @@ TEST(SvaGraph, LowersBusMultiRingPairwise) {
     EXPECT_TRUE(g.ok());
     ASSERT_EQ(spec.multi_rings.size(), 1u);
     const std::size_t m = spec.multi_rings[0].members.size();
-    // One station per (member, other-member) pair — mirrors dl::check_rules.
-    EXPECT_EQ(g.stations.size(), m * (m - 1));
+    // One station per (member, other-member) pair, as in DESIGN.md §6.
+    EXPECT_EQ(g.stall.stations.size(), m * (m - 1));
 }
 
 TEST(SvaGraph, StructurallyBrokenSpecLowersWithDefects) {
@@ -92,7 +93,7 @@ TEST(SvaGraph, NeverThrowsOnIllIndexedSpec) {
     EXPECT_TRUE(g.trap_defects.empty());
 }
 
-// --- deadlock pass vs. the dl fixpoint -------------------------------------
+// --- deadlock pass vs. the stall model -------------------------------------
 
 TEST(SvaDeadlock, AgreesWithCheckRulesOnAllSpecs) {
     std::vector<std::pair<std::string, sys::SocSpec>> specs;
@@ -103,7 +104,8 @@ TEST(SvaDeadlock, AgreesWithCheckRulesOnAllSpecs) {
     specs.emplace_back("deadlock-cycle", sva::make_fixture("deadlock-cycle"));
     for (const auto& [name, spec] : specs) {
         const auto obs = sva::pass_deadlock(sva::lower(spec));
-        const bool dl_ok = dl::check_rules(spec).ok;
+        const bool dl_ok =
+            dl::solve_stalls(dl::build_stall_model(spec)).converged;
         EXPECT_EQ(has_nonproven(obs, "sva-deadlock"), !dl_ok)
             << "verdict disagreement on " << name;
     }
@@ -239,6 +241,86 @@ TEST(SpecText, RejectsMalformedInputWithLineNumbers) {
     EXPECT_THROW(sva::parse_spec_text("stspec v1\nfrob x y=1\n"),
                  std::runtime_error);
 }
+
+// A number that does not fit its field is rejected by name, with its line,
+// instead of being truncated into a different spec. Each row names the
+// field, the spec line it sits on, and the field's largest value, which
+// must still load.
+struct NarrowField {
+    const char* field;
+    std::uint64_t max;
+    const char* line;  ///< with @ where the number goes
+};
+
+void PrintTo(const NarrowField& row, std::ostream* os) { *os << row.field; }
+
+class SpecTextNarrowing : public ::testing::TestWithParam<NarrowField> {};
+
+TEST_P(SpecTextNarrowing, RejectsAValueThatDoesNotFit) {
+    const auto& row = GetParam();
+    const auto doc_with = [&](const std::string& value) {
+        std::string line = row.line;
+        line.replace(line.find('@'), 1, value);
+        return "stspec v1\n"
+               "sb s0 period=1000 divider=1 phase=0 restart=50 "
+               "kernel=noc:mesh,0,0,2,1,2,4,0x1\n"
+               "sb s1 period=1000 divider=1 phase=0 restart=50 "
+               "kernel=noc:mesh,1,0,2,1,2,4,0x2\n" +
+               line + "\n";
+    };
+    const std::string field = row.field;
+    EXPECT_NO_THROW(sva::parse_spec_text(doc_with(std::to_string(row.max))));
+    try {
+        sva::parse_spec_text(doc_with(std::to_string(row.max + 1)));
+        FAIL() << field << "=" << row.max + 1 << " accepted";
+    } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("line 4"), std::string::npos) << what;
+        EXPECT_NE(what.find("'" + field + "'"), std::string::npos) << what;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, SpecTextNarrowing,
+    ::testing::Values(
+        NarrowField{"divider", 4294967295u,
+                    "sb s2 period=1000 divider=@ phase=0 restart=50 "
+                    "kernel=traffic:0x3"},
+        NarrowField{"hold", 4294967295u,
+                    "ring r a=0 b=1 dab=900 dba=900 na=@,7,-,h "
+                    "nb=4,7,-,w"},
+        NarrowField{"recycle", 4294967295u,
+                    "ring r a=0 b=1 dab=900 dba=900 na=4,@,-,h "
+                    "nb=4,7,-,w"},
+        NarrowField{"initial recycle", 4294967295u,
+                    "ring r a=0 b=1 dab=900 dba=900 na=4,7,-,h "
+                    "nb=4,7,@,w"},
+        NarrowField{"bits", 4294967295u,
+                    "chan c from=0 to=1 ring=0 depth=4 stage=100 bits=@ "
+                    "head=20,20 tail=20,20"},
+        NarrowField{"noc x", 255u,
+                    "sb s2 period=1000 divider=1 phase=0 restart=50 "
+                    "kernel=noc:mesh,@,0,2,1,2,4,0x3"},
+        NarrowField{"noc y", 255u,
+                    "sb s2 period=1000 divider=1 phase=0 restart=50 "
+                    "kernel=noc:mesh,0,@,2,1,2,4,0x3"},
+        NarrowField{"noc width", 255u,
+                    "sb s2 period=1000 divider=1 phase=0 restart=50 "
+                    "kernel=noc:mesh,0,0,@,1,2,4,0x3"},
+        NarrowField{"noc height", 255u,
+                    "sb s2 period=1000 divider=1 phase=0 restart=50 "
+                    "kernel=noc:mesh,0,0,2,@,2,4,0x3"},
+        NarrowField{"noc nodes", 65535u,
+                    "sb s2 period=1000 divider=1 phase=0 restart=50 "
+                    "kernel=noc:mesh,0,0,2,1,@,4,0x3"},
+        NarrowField{"noc inject", 4294967295u,
+                    "sb s2 period=1000 divider=1 phase=0 restart=50 "
+                    "kernel=noc:mesh,0,0,2,1,2,@,0x3"}),
+    [](const auto& info) {
+        std::string name = info.param.field;
+        std::replace(name.begin(), name.end(), ' ', '_');
+        return name;
+    });
 
 // The ring-of-rings generator tests (fixture byte-identity, proven-clean at
 // 64 SBs) live in test_topo.cpp since the generator moved to src/topo.

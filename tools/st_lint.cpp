@@ -1,7 +1,7 @@
 // st_lint: static analyzer for synchro-tokens SocSpecs.
 //
 // Runs every lint pass (topology, schedule feasibility, FIFO provisioning,
-// counter widths, clock hazards, absorbed deadlock fixpoint) over the shipped
+// counter widths, clock hazards, deadlock fixpoint) over the shipped
 // testbench specs or over a deliberately broken fixture, and prints a
 // GCC-style diagnostics listing. Exit status is non-zero when any
 // error-severity diagnostic was produced — CTest runs this over every shipped
@@ -45,7 +45,6 @@ struct Options {
     std::string spec_file;
     std::uint64_t race_cycles = 0;
     std::size_t jobs = 0;  ///< 0 = auto (hardware threads, ST_JOBS override)
-    bool deadlock_pass = true;
     bool verify = false;
     bool json = false;
     bool quiet = false;
@@ -80,8 +79,7 @@ std::vector<std::string> canonical_rule_order() {
         "ring-endpoints", "channel-ring",       "initial-holder",
         "isolated-sb",    "param-sanity",       "counter-width",
         "recycle-feasibility", "fifo-depth",    "fifo-head-visibility",
-        "clock-ratio",    "restart-delay",      "deadlock-fixpoint",
-        "deadlock-advisory"};
+        "clock-ratio",    "restart-delay",      "deadlock-fixpoint"};
     for (const auto& p : sva::sva_pass_catalog()) order.push_back(p.id);
     order.push_back("sched-race");
     return order;
@@ -116,7 +114,6 @@ void usage() {
         "                    replays under --verify — in parallel\n"
         "                    (default: hardware threads, ST_JOBS override);\n"
         "                    output is bit-identical at any value\n"
-        "  --no-deadlock     skip the absorbed deadlock fixpoint pass\n"
         "  --list            list passes and fixtures, then exit\n"
         "  --quiet           print only per-spec summary lines\n");
 }
@@ -173,9 +170,7 @@ struct LintRun {
 LintRun lint_one(const std::string& name, const sys::SocSpec& spec,
                  const Options& opt) {
     LintRun run;
-    lint::LintOptions lopt;
-    lopt.deadlock_pass = opt.deadlock_pass;
-    lint::LintReport report = lint::lint(spec, lopt);
+    lint::LintReport report = lint::lint(spec);
     std::string verify_summary;
     if (opt.verify) {
         sva::VerifyOptions vopt;
@@ -271,8 +266,6 @@ int main(int argc, char** argv) {
             }
         } else if (arg == "--jobs") {
             opt.jobs = std::strtoull(next(), nullptr, 0);
-        } else if (arg == "--no-deadlock") {
-            opt.deadlock_pass = false;
         } else if (arg == "--quiet") {
             opt.quiet = true;
         } else if (arg == "--list") {
